@@ -30,6 +30,8 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.exec.bench import DEFAULT_BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -88,10 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="nested target: tiny sample sizes (CI wiring "
                             "check, not a measurement)")
     bench.add_argument("--backends",
-                       default="serial,process,chunked,batched,thread,shm",
+                       default=",".join(DEFAULT_BACKENDS),
                        help="nested target: comma-separated backend specs "
-                            "(default serial,process,chunked,batched,"
-                            "thread,shm)")
+                            f"(default {','.join(DEFAULT_BACKENDS)})")
     bench.add_argument("--outer", type=int, default=None,
                        help="outer scenarios (default 256 for nested, "
                             "4096 for proxy)")
@@ -135,9 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--mlmc-base-inner", type=int, default=4,
                        help="proxy target: MLMC base-level inner paths "
                             "(default 4)")
-    bench.add_argument("--backend", default="chunked",
+    bench.add_argument("--backend", default=None,
                        help="proxy target: execution backend spec "
-                            "(default chunked)")
+                            "(default: the program default, batched)")
     bench.add_argument("--spot-runs", type=int, default=20,
                        help="spot target: seeded markets per frontier "
                             "row (default 20)")

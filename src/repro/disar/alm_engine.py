@@ -9,8 +9,8 @@ paper deploys on the cloud.  The engine supports two execution modes:
   Monte Carlo work is partitioned into the same deterministic chunks
   the :mod:`repro.exec` backends use, the chunks are spread round-robin
   across the ranks of a :class:`repro.cluster.Communicator`, and each
-  rank executes its share through its own backend (the chunked-vector
-  kernels by default).  Only per-chunk values travel back to rank 0,
+  rank executes its share through its own backend (the batched
+  kernel by default).  Only per-chunk values travel back to rank 0,
   which reassembles them in chunk order — so the distributed result is
   **bit-identical** to the sequential one at the same seed, for any
   rank count.  This is the paper's data-separation scheme: the database

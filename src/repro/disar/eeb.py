@@ -165,10 +165,10 @@ class SimulationSettings:
     mlmc_base_inner: int = 4
     #: Execution backend spec for the Monte Carlo engine — see
     #: :func:`repro.exec.backends.backend_from` (``"serial"``,
-    #: ``"chunked"``, ``"batched"``, ``"process[:N]"``, ``"thread[:N]"``,
-    #: ``"shm[:N]"``).  All specs are bit-identical at a fixed seed and
-    #: chunk size, so the choice is purely an execution-cost knob.
-    backend: str = "chunked"
+    #: ``"batched"``, ``"process[:N]"``; ``None`` is the batched
+    #: default).  All specs are bit-identical at a fixed seed and chunk
+    #: size, so the choice is purely an execution-cost knob.
+    backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.n_outer <= 0 or self.n_inner <= 0:

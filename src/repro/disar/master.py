@@ -268,7 +268,7 @@ class DisarMasterService:
         with bit-identical results.
 
         ``backend`` overrides each block's execution-backend spec (e.g.
-        ``"thread:4"`` or ``"batched"``) for this campaign only — the
+        ``"process:4"`` or ``"serial"``) for this campaign only — the
         caller's blocks are not mutated.  Because every backend is
         bit-identical at fixed seed and chunk size, the override changes
         wall-clock only, never results (chunk size comes from the spec's

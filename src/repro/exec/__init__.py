@@ -9,24 +9,15 @@ paths live up to that claim:
   Work is partitioned into deterministic :class:`WorkChunk` slices and
   every chunk receives a ``numpy`` generator spawned *keyed by chunk
   index*, so results are bit-identical regardless of worker count or
-  backend.  Six backends ship:
+  backend.  Three backends ship:
 
-  * :class:`SerialBackend` — the reference in-process loop;
-  * :class:`ProcessPoolBackend` — ``concurrent.futures`` process pool;
-    the engine is serialized once per map call and shipped to each
-    worker through the pool initializer, never per chunk;
-  * :class:`ThreadPoolBackend` — thread pool sharing one live engine;
-    chunk kernels overlap under NumPy's released GIL with zero
-    serialization;
-  * :class:`SharedMemoryBackend` — process pool whose scenario inputs
-    and per-chunk results travel through one
-    :mod:`multiprocessing.shared_memory` slab (workers attach instead
-    of deserialize);
-  * :class:`ChunkedVectorBackend` — batches a whole chunk of outer
-    scenarios' inner simulations into single NumPy calls;
-  * :class:`BatchedVectorBackend` — additionally fuses *many* chunks
-    into one kernel call (``cross_chunk``), bounded by
-    ``max_fused_scenarios``;
+  * :class:`SerialBackend` — the reference per-scenario loop;
+  * :class:`BatchedVectorBackend` — the default: many chunks fused into
+    one NumPy kernel call, in-process;
+  * :class:`ProcessPoolBackend` — one batched kernel call per chunk on a
+    ``concurrent.futures`` process pool; the engine is serialized once
+    per map call and shipped to each worker through the pool
+    initializer, never per chunk;
 
 - :mod:`repro.exec.bench` — the ``repro bench`` perf-regression
   harness: times the nested / LSMC / valuation kernels across backends,
@@ -37,12 +28,9 @@ paths live up to that claim:
 
 from repro.exec.backends import (
     BatchedVectorBackend,
-    ChunkedVectorBackend,
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    SharedMemoryBackend,
-    ThreadPoolBackend,
     WorkChunk,
     backend_from,
     chunk_seed_sequences,
@@ -62,11 +50,8 @@ __all__ = [
     "chunk_seed_sequences",
     "ExecutionBackend",
     "SerialBackend",
-    "ProcessPoolBackend",
-    "ThreadPoolBackend",
-    "SharedMemoryBackend",
-    "ChunkedVectorBackend",
     "BatchedVectorBackend",
+    "ProcessPoolBackend",
     "backend_from",
     "BenchReport",
     "KernelTiming",

@@ -10,8 +10,8 @@ The contract every backend honours:
    :class:`numpy.random.SeedSequence` (:func:`chunk_seed_sequences`),
    i.e. its random stream is *keyed by chunk index*;
 3. backends only decide *where* and *how* a chunk function runs
-   (in-process loop, thread or process pool, batched NumPy kernel) —
-   never *what* it computes.
+   (in-process loop, fused NumPy kernel, process pool) — never *what*
+   it computes.
 
 Together these make results bit-identical across backends and across
 worker counts: the arithmetic per scenario and the random numbers it
@@ -20,44 +20,39 @@ consumes are the same everywhere, only the wall-clock time changes.
 across backends must hold it fixed (all backends default to
 ``DEFAULT_CHUNK_SIZE``).
 
-Zero-copy dispatch
-------------------
+Three backends ship: :class:`SerialBackend` (the reference
+per-scenario loop), :class:`BatchedVectorBackend` (the default: many
+chunks fused into one NumPy kernel call, in-process) and
+:class:`ProcessPoolBackend` (one batched kernel call per chunk, spread
+over worker processes).
+
 :meth:`ExecutionBackend.map_tasks` separates the *context* (the engine —
 large, identical for every chunk) from the per-chunk *payload* (small).
-The process-pool backends serialize the context exactly once per map
-call and ship it to each worker through the pool initializer, instead of
-pickling it into every chunk task; the thread and in-process backends
-share the live object without any serialization at all.
-:class:`SharedMemoryBackend` additionally places the payloads' NumPy
-arrays and the chunk results in a :mod:`multiprocessing.shared_memory`
-slab, so workers attach to the scenario inputs and write their result
-slices in place rather than deserializing/reserializing them.
+The process pool serializes the context exactly once per map call and
+ships it to each worker through the pool initializer; the in-process
+backends share the live object without any serialization at all.
 """
 
 from __future__ import annotations
 
-import abc
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
+    "DEFAULT_MAX_FUSED",
     "WorkChunk",
     "partition",
     "chunk_seed_sequences",
     "ExecutionBackend",
     "SerialBackend",
-    "ProcessPoolBackend",
-    "ThreadPoolBackend",
-    "SharedMemoryBackend",
-    "ChunkedVectorBackend",
     "BatchedVectorBackend",
+    "ProcessPoolBackend",
     "backend_from",
 ]
 
@@ -66,9 +61,9 @@ __all__ = [
 #: every backend.
 DEFAULT_CHUNK_SIZE = 64
 
-#: Default cap on how many scenarios a cross-chunk fusing backend may
-#: batch into one kernel call — bounds the transient memory of the fused
-#: shock/path arrays, not the result.
+#: Cap on how many scenarios :class:`BatchedVectorBackend` fuses into one
+#: kernel call — bounds the transient memory of the fused shock/path
+#: arrays, not the result.
 DEFAULT_MAX_FUSED = 4096
 
 
@@ -154,15 +149,13 @@ def chunk_seed_sequences(
     return list(_seed_sequence_of(parent).spawn(n_chunks))
 
 
-# -- worker-side state for the context-shipping process pools -----------------
+# -- worker-side state of the process pool ------------------------------------
 #
-# The pool initializer installs the (unpickled-once) context and, for the
-# shared-memory backend, the attached slab into these module globals;
-# every task the worker executes then reads them instead of carrying the
-# context in its own payload.
+# The pool initializer installs the (unpickled-once) context into this
+# module global; every task the worker executes then reads it instead of
+# carrying the context in its own payload.
 
 _WORKER_CONTEXT: Any = None
-_WORKER_SHM: shared_memory.SharedMemory | None = None
 
 
 def _install_worker_context(blob: bytes) -> None:
@@ -171,135 +164,34 @@ def _install_worker_context(blob: bytes) -> None:
     _WORKER_CONTEXT = pickle.loads(blob)
 
 
-def _tracker_pid() -> int | None:
-    """PID of this process's resource-tracker daemon, if one is running."""
-    tracker = getattr(resource_tracker, "_resource_tracker", None)
-    return getattr(tracker, "_pid", None)
-
-
-def _install_shm_worker(
-    blob: bytes, shm_name: str, parent_tracker_pid: int | None
-) -> None:
-    """Pool initializer: install the context and attach the shared slab."""
-    global _WORKER_SHM
-    _install_worker_context(blob)
-    _WORKER_SHM = shared_memory.SharedMemory(name=shm_name)
-    try:
-        # Under the spawn start method the worker runs its *own* resource
-        # tracker, and attaching registers the segment there — the tracker
-        # would unlink it when the worker exits even though the parent
-        # still owns it (fixed only in Python 3.13's ``track=False``), so
-        # the attachment must be deregistered.  Under fork the worker
-        # shares the parent's tracker and deregistering would strip the
-        # *owner's* registration instead, making the parent's unlink
-        # complain — hence the tracker-identity check.
-        if _tracker_pid() != parent_tracker_pid:
-            resource_tracker.unregister(_WORKER_SHM._name, "shared_memory")  # type: ignore[attr-defined]
-    except Exception:  # pragma: no cover - tracker internals vary
-        pass
-
-
 def _run_context_task(task: tuple[Callable[[Any, Any], Any], Any]) -> Any:
     """Execute one ``fn(context, payload)`` task against the worker context."""
     fn, payload = task
     return fn(_WORKER_CONTEXT, payload)
 
 
-@dataclass(frozen=True)
-class _ShmView:
-    """Descriptor of one ndarray stored inside the shared slab."""
-
-    offset: int
-    shape: tuple[int, ...]
-    dtype: str
-
-
-def _attach_view(view: _ShmView, buf: memoryview) -> np.ndarray:
-    """The live (zero-copy) ndarray a descriptor points at."""
-    return np.ndarray(
-        view.shape, dtype=np.dtype(view.dtype), buffer=buf, offset=view.offset
-    )
-
-
-def _shm_unpack(obj: Any, buf: memoryview) -> Any:
-    """Rebuild a payload, resolving descriptors to views on the slab."""
-    if isinstance(obj, _ShmView):
-        return _attach_view(obj, buf)
-    if isinstance(obj, tuple):
-        return tuple(_shm_unpack(item, buf) for item in obj)
-    if isinstance(obj, list):
-        return [_shm_unpack(item, buf) for item in obj]
-    return obj
-
-
-def _run_shm_task(
-    task: tuple[Callable[[Any, Any], Any], Any, tuple[_ShmView, ...] | None],
-) -> Any:
-    """Execute one task whose arrays live in the attached shared slab.
-
-    With output views the result arrays are written straight into the
-    slab (the parent reads them back by offset) and nothing is pickled
-    on the way out; without them the result returns through the normal
-    result queue.
-    """
-    fn, payload, out_views = task
-    assert _WORKER_SHM is not None
-    buf = _WORKER_SHM.buf
-    result = fn(_WORKER_CONTEXT, _shm_unpack(payload, buf))
-    if out_views is None:
-        return result
-    parts = result if isinstance(result, tuple) else (result,)
-    for view, part in zip(out_views, parts):
-        _attach_view(view, buf)[...] = part
-    return None
-
-
-class ExecutionBackend(abc.ABC):
-    """Executes independent chunk tasks and preserves chunk order.
-
-    ``vectorized`` advertises whether callers should hand this backend
-    batched NumPy kernels (one call per chunk) instead of per-scenario
-    loops; ``cross_chunk`` additionally invites callers to fuse *many*
-    chunks' work into one kernel call.  The numbers are bit-identical
-    either way, only the Python overhead differs.
-    """
+class ExecutionBackend:
+    """Executes independent chunk tasks and preserves chunk order."""
 
     name: str = "abstract"
-    vectorized: bool = False
-    #: Whether callers may fuse several chunks into one kernel call.
-    cross_chunk: bool = False
 
     def __init__(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
         if chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         self.chunk_size = int(chunk_size)
 
-    @abc.abstractmethod
-    def map(
-        self, fn: Callable[[Any], Any], payloads: Sequence[Any]
-    ) -> list[Any]:
-        """Apply ``fn`` to every payload; results in payload order."""
-
     def map_tasks(
         self,
         fn: Callable[[Any, Any], Any],
         context: Any,
         payloads: Sequence[Any],
-        out_sizes: Sequence[tuple[int, ...]] | None = None,
     ) -> list[Any]:
         """Apply ``fn(context, payload)`` to every payload, in order.
 
         ``context`` is the shared, typically large object (the engine);
         payloads carry only per-chunk data.  In-process backends pass the
-        live context through; pool backends ship it once per worker.
-
-        ``out_sizes`` optionally declares, per payload, the lengths of
-        the 1-D float64 array(s) the task returns — e.g. ``(n, n)`` for a
-        chunk returning ``(values, std_errors)`` of ``n`` scenarios.
-        Backends with shared-memory result slabs use it to route results
-        through shared memory; every other backend ignores it.
+        live context through; the process pool ships it once per worker.
         """
-        del out_sizes  # only shared-memory transports route results
         return [fn(context, payload) for payload in payloads]
 
     def describe(self) -> str:
@@ -310,18 +202,28 @@ class ExecutionBackend(abc.ABC):
 
 
 class SerialBackend(ExecutionBackend):
-    """Reference backend: chunks run in-process, one after another."""
+    """Reference backend: one inner simulation per scenario, in-process."""
 
     name = "serial"
 
-    def map(
-        self, fn: Callable[[Any], Any], payloads: Sequence[Any]
-    ) -> list[Any]:
-        return [fn(payload) for payload in payloads]
+
+class BatchedVectorBackend(ExecutionBackend):
+    """Cross-chunk fusion: many chunks' scenarios in one NumPy call.
+
+    The Monte Carlo engines concatenate all pending chunks' inputs (up to
+    :data:`DEFAULT_MAX_FUSED` scenarios) and run one fused kernel call
+    instead of one call per chunk, then split the result back along the
+    chunk boundaries (checkpointing and rank routing keep working per
+    chunk).  The per-scenario random streams are still keyed by scenario
+    index and drawn with the same call shapes, so fusion changes Python
+    overhead only — never a bit of the result.
+    """
+
+    name = "batched"
 
 
 def _default_pool_workers() -> int:
-    """Worker count when a pool backend doesn't pin one explicitly.
+    """Worker count when the pool backend doesn't pin one explicitly.
 
     The ``REPRO_EXEC_WORKERS`` environment variable overrides the CPU
     autodetect, so worker-count-sensitive tests (and CI) can exercise
@@ -340,15 +242,16 @@ def _default_pool_workers() -> int:
 class ProcessPoolBackend(ExecutionBackend):
     """Chunks run as tasks of a :class:`concurrent.futures` process pool.
 
-    The pool is created per map call and torn down afterwards, so the
-    backend object itself stays a picklable bag of settings.  Chunk
-    functions and payloads must be picklable (module-level functions plus
-    plain dataclasses/arrays — the Monte Carlo engines satisfy this).
+    The nested engine hands it the batched chunk kernel, one call per
+    chunk.  The pool is created per map call and torn down afterwards,
+    so the backend object itself stays a picklable bag of settings.
+    Chunk functions and payloads must be picklable (module-level
+    functions plus plain dataclasses/arrays — the Monte Carlo engines
+    satisfy this).
 
     :meth:`map_tasks` serializes the shared context exactly **once** per
     call and installs it in each worker through the pool initializer;
-    per-chunk tasks then carry only their own small payload.  The legacy
-    :meth:`map` keeps the one-self-contained-payload-per-task shape.
+    per-chunk tasks then carry only their own small payload.
     """
 
     name = "process"
@@ -357,39 +260,25 @@ class ProcessPoolBackend(ExecutionBackend):
         self,
         max_workers: int | None = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        vectorized: bool = False,
     ) -> None:
         super().__init__(chunk_size)
         if max_workers is not None and max_workers <= 0:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
         self.max_workers = max_workers
-        self.vectorized = bool(vectorized)
 
     @property
     def effective_workers(self) -> int:
         return self.max_workers if self.max_workers else _default_pool_workers()
-
-    def map(
-        self, fn: Callable[[Any], Any], payloads: Sequence[Any]
-    ) -> list[Any]:
-        payloads = list(payloads)
-        if len(payloads) <= 1:
-            # One chunk gains nothing from a pool; skip the fork cost.
-            return [fn(payload) for payload in payloads]
-        workers = min(self.effective_workers, len(payloads))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, payloads))
 
     def map_tasks(
         self,
         fn: Callable[[Any, Any], Any],
         context: Any,
         payloads: Sequence[Any],
-        out_sizes: Sequence[tuple[int, ...]] | None = None,
     ) -> list[Any]:
-        del out_sizes
         payloads = list(payloads)
         if len(payloads) <= 1:
+            # One chunk gains nothing from a pool; skip the fork cost.
             return [fn(context, payload) for payload in payloads]
         workers = min(self.effective_workers, len(payloads))
         # Serialized once here; each worker unpickles it once in its
@@ -411,245 +300,19 @@ class ProcessPoolBackend(ExecutionBackend):
         )
 
 
-class ThreadPoolBackend(ExecutionBackend):
-    """Chunks run concurrently on a thread pool, sharing one live engine.
-
-    NumPy releases the GIL inside its array kernels, so batched chunk
-    kernels genuinely overlap on multi-core hosts — with none of the
-    process pool's costs: no fork, no pickling of engines, payloads or
-    results, and full reuse of the engine's in-process caches (which must
-    therefore be thread-safe; the decrement-table cache is).
-
-    Defaults to ``vectorized`` dispatch: per-scenario Python loops hold
-    the GIL most of the time and gain little from threads.
-    """
-
-    name = "thread"
-    vectorized = True
-
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        vectorized: bool = True,
-    ) -> None:
-        super().__init__(chunk_size)
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError(f"max_workers must be positive, got {max_workers}")
-        self.max_workers = max_workers
-        self.vectorized = bool(vectorized)
-
-    @property
-    def effective_workers(self) -> int:
-        return self.max_workers if self.max_workers else _default_pool_workers()
-
-    def map(
-        self, fn: Callable[[Any], Any], payloads: Sequence[Any]
-    ) -> list[Any]:
-        payloads = list(payloads)
-        if len(payloads) <= 1:
-            return [fn(payload) for payload in payloads]
-        workers = min(self.effective_workers, len(payloads))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, payloads))
-
-    def map_tasks(
-        self,
-        fn: Callable[[Any, Any], Any],
-        context: Any,
-        payloads: Sequence[Any],
-        out_sizes: Sequence[tuple[int, ...]] | None = None,
-    ) -> list[Any]:
-        del out_sizes
-        # Threads share the live context object: zero serialization.
-        return self.map(lambda payload: fn(context, payload), payloads)
-
-    def describe(self) -> str:
-        return (
-            f"{self.name}(workers={self.effective_workers}, "
-            f"chunk_size={self.chunk_size})"
-        )
-
-
-class SharedMemoryBackend(ProcessPoolBackend):
-    """Process pool whose array traffic flows through shared memory.
-
-    For each :meth:`map_tasks` call the backend packs every NumPy array
-    found in the payloads into one :mod:`multiprocessing.shared_memory`
-    slab; workers attach to the slab once (in the pool initializer,
-    alongside the context shipped once per worker) and rebuild the
-    payload arrays as zero-copy views.  When ``out_sizes`` declares the
-    result shapes, a result region is reserved in the same slab and each
-    worker writes its chunk's ``(values, std_errors)`` slices in place —
-    no result pickling either.
-
-    Worth it when the per-chunk array traffic dominates; for small
-    payloads the plain :class:`ProcessPoolBackend` does the same work
-    with less setup.
-    """
-
-    name = "shm"
-    #: Slab offsets are aligned so attached views keep natural alignment.
-    _ALIGN = 64
-
-    def map_tasks(
-        self,
-        fn: Callable[[Any, Any], Any],
-        context: Any,
-        payloads: Sequence[Any],
-        out_sizes: Sequence[tuple[int, ...]] | None = None,
-    ) -> list[Any]:
-        payloads = list(payloads)
-        if len(payloads) <= 1:
-            return [fn(context, payload) for payload in payloads]
-        if out_sizes is not None and len(out_sizes) != len(payloads):
-            raise ValueError(
-                f"out_sizes covers {len(out_sizes)} payloads, "
-                f"got {len(payloads)}"
-            )
-        workers = min(self.effective_workers, len(payloads))
-
-        # Pack the payloads' input arrays into one contiguous slab image.
-        cursor = 0
-        writes: list[tuple[_ShmView, np.ndarray]] = []
-
-        def pack(obj: Any) -> Any:
-            nonlocal cursor
-            if isinstance(obj, np.ndarray):
-                arr = np.ascontiguousarray(obj)
-                offset = -(-cursor // self._ALIGN) * self._ALIGN
-                cursor = offset + arr.nbytes
-                view = _ShmView(offset, arr.shape, arr.dtype.str)
-                writes.append((view, arr))
-                return view
-            if isinstance(obj, tuple):
-                return tuple(pack(item) for item in obj)
-            if isinstance(obj, list):
-                return [pack(item) for item in obj]
-            return obj
-
-        packed = [pack(payload) for payload in payloads]
-
-        # Reserve the per-chunk result slots behind the inputs.
-        out_views: list[tuple[_ShmView, ...] | None] = [None] * len(payloads)
-        if out_sizes is not None:
-            for position, sizes in enumerate(out_sizes):
-                slots = []
-                for length in sizes:
-                    offset = -(-cursor // self._ALIGN) * self._ALIGN
-                    cursor = offset + int(length) * 8
-                    slots.append(_ShmView(offset, (int(length),), "<f8"))
-                out_views[position] = tuple(slots)
-
-        blob = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
-        slab = shared_memory.SharedMemory(create=True, size=max(cursor, 1))
-        try:
-            for view, arr in writes:
-                _attach_view(view, slab.buf)[...] = arr
-            tasks = [
-                (fn, packed[position], out_views[position])
-                for position in range(len(payloads))
-            ]
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_install_shm_worker,
-                # Creating the slab above started (or reused) the parent's
-                # resource tracker; its pid lets workers tell whether they
-                # share it (fork) or run their own (spawn).
-                initargs=(blob, slab.name, _tracker_pid()),
-            ) as pool:
-                returned = list(pool.map(_run_shm_task, tasks))
-            results: list[Any] = []
-            for position, views in enumerate(out_views):
-                if views is None:
-                    results.append(returned[position])
-                    continue
-                # The slab is unlinked below; materialize the results.
-                parts = tuple(
-                    _attach_view(view, slab.buf).copy() for view in views
-                )
-                results.append(parts if len(parts) > 1 else parts[0])
-        finally:
-            # close() can itself raise (e.g. a dead mmap); nesting keeps
-            # unlink() guaranteed so the slab never outlives the call.
-            try:
-                slab.close()
-            finally:
-                slab.unlink()
-        return results
-
-
-class ChunkedVectorBackend(ExecutionBackend):
-    """Batches every chunk's scenarios into single NumPy calls.
-
-    Execution stays in-process; the speedup comes from replacing the
-    per-scenario Python loop with one array operation per chunk.  The
-    per-scenario random draws are made in exactly the order the serial
-    loop would make them, so results stay bit-identical.
-    """
-
-    name = "chunked"
-    vectorized = True
-
-    def map(
-        self, fn: Callable[[Any], Any], payloads: Sequence[Any]
-    ) -> list[Any]:
-        return [fn(payload) for payload in payloads]
-
-
-class BatchedVectorBackend(ChunkedVectorBackend):
-    """Cross-chunk fusion: many chunks' scenarios in one NumPy call.
-
-    Extends the chunked backend with the ``cross_chunk`` capability: the
-    Monte Carlo engines concatenate all pending chunks' inputs and run
-    one fused kernel call instead of one call per chunk, then split the
-    result back along the chunk boundaries (checkpointing and rank
-    routing keep working per chunk).  The per-scenario random streams
-    are still keyed by scenario index and drawn with the same call
-    shapes, so fusion changes Python overhead only — never a bit of the
-    result.
-
-    ``max_fused_scenarios`` bounds the scenarios fused into one call,
-    capping the transient memory of the stacked shock/path arrays.
-    """
-
-    name = "batched"
-    cross_chunk = True
-
-    def __init__(
-        self,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        max_fused_scenarios: int = DEFAULT_MAX_FUSED,
-    ) -> None:
-        super().__init__(chunk_size)
-        if max_fused_scenarios <= 0:
-            raise ValueError(
-                f"max_fused_scenarios must be positive, got {max_fused_scenarios}"
-            )
-        self.max_fused_scenarios = int(max_fused_scenarios)
-
-    def describe(self) -> str:
-        return (
-            f"{self.name}(chunk_size={self.chunk_size}, "
-            f"max_fused={self.max_fused_scenarios})"
-        )
-
-
 def backend_from(
     spec: "ExecutionBackend | str | None",
 ) -> ExecutionBackend:
     """Coerce a backend instance, a spec string, or ``None`` to a backend.
 
-    Spec strings: ``"serial"``, ``"chunked"`` (aliases ``"vector"``,
-    ``"chunked-vector"``), ``"batched"``, ``"process"``, ``"thread"``
-    and ``"shm"``, each optionally suffixed with ``:N`` — the chunk size
-    for the in-process backends (``"serial"``, ``"chunked"``,
-    ``"batched"``), the worker count for the pool backends
-    (``"process:4"``, ``"thread:4"``, ``"shm:4"``).  ``None`` selects
-    the default :class:`ChunkedVectorBackend`.
+    Spec strings: ``"serial"``, ``"batched"`` and ``"process"``, each
+    optionally suffixed with a positive ``:N`` — the chunk size for the
+    in-process backends (``"serial:32"``, ``"batched:16"``), the worker
+    count for the pool (``"process:4"``).  ``None`` selects the default
+    :class:`BatchedVectorBackend`.
     """
     if spec is None:
-        return ChunkedVectorBackend()
+        return BatchedVectorBackend()
     if isinstance(spec, ExecutionBackend):
         return spec
     name, _, arg = str(spec).partition(":")
@@ -660,23 +323,17 @@ def backend_from(
             number = int(arg)
         except ValueError:
             raise ValueError(f"non-integer backend argument in {spec!r}") from None
+        # A silent fallback would change the chunk size, and with it the
+        # random-stream layout the caller asked for.
+        if number <= 0:
+            raise ValueError(f"backend argument must be positive in {spec!r}")
     if name == "serial":
-        return SerialBackend(**({"chunk_size": number} if number else {}))
-    if name in ("chunked", "vector", "chunked-vector"):
-        return ChunkedVectorBackend(
-            **({"chunk_size": number} if number else {})
-        )
+        return SerialBackend(number or DEFAULT_CHUNK_SIZE)
     if name == "batched":
-        return BatchedVectorBackend(
-            **({"chunk_size": number} if number else {})
-        )
+        return BatchedVectorBackend(number or DEFAULT_CHUNK_SIZE)
     if name == "process":
         return ProcessPoolBackend(max_workers=number)
-    if name == "thread":
-        return ThreadPoolBackend(max_workers=number)
-    if name == "shm":
-        return SharedMemoryBackend(max_workers=number, vectorized=True)
     raise ValueError(
-        f"unknown execution backend {spec!r}; expected serial, process[:N], "
-        "thread[:N], shm[:N], chunked[:N] or batched[:N]"
+        f"unknown execution backend {spec!r}; expected serial[:N], "
+        "batched[:N] or process[:N]"
     )

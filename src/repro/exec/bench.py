@@ -49,7 +49,7 @@ __all__ = [
 #: Backends every bench run compares by default.  All of them use the
 #: same chunk size, which the determinism contract requires for
 #: bit-identical results.
-DEFAULT_BACKENDS = ("serial", "process", "chunked", "batched", "thread", "shm")
+DEFAULT_BACKENDS = ("serial", "batched", "process")
 
 #: Outer-scenario chunk size the bench applies uniformly to every
 #: backend on the nested and LSMC kernels.  Production campaigns pick

@@ -18,9 +18,8 @@ Execution is delegated to a :mod:`repro.exec` backend.  The workload is
 partitioned into fixed chunks of outer scenarios (or inner paths, for
 ``value_at_zero``); every chunk draws from random streams keyed by its
 position in the workload, never by the worker that happens to run it, so
-every backend — serial, process, thread, shared-memory, chunked-vector
-and batched cross-chunk — produces bit-identical results at a fixed
-``chunk_size``.
+the serial loop, the batched cross-chunk kernel and the process pool
+produce bit-identical results at a fixed ``chunk_size``.
 """
 
 from __future__ import annotations
@@ -31,7 +30,10 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 from repro.exec.backends import (
+    DEFAULT_MAX_FUSED,
+    BatchedVectorBackend,
     ExecutionBackend,
+    ProcessPoolBackend,
     backend_from,
     chunk_seed_sequences,
     partition,
@@ -260,8 +262,8 @@ class NestedMonteCarloEngine:
         #: Use path-dependent dynamic lapse behaviour in the valuations
         #: (policyholders react to the credited return of their path).
         self.dynamic_lapses = bool(dynamic_lapses)
-        #: Execution backend (``None`` selects the chunked-vector
-        #: default); see :mod:`repro.exec`.
+        #: Execution backend (``None`` selects the batched default);
+        #: see :mod:`repro.exec`.
         self.backend = backend_from(backend)
         self._generator = ScenarioGenerator(spec)
         #: Decrement tables shared across scenarios and stages — outer
@@ -404,12 +406,7 @@ class NestedMonteCarloEngine:
             (chunk.size, seeds[chunk.index], float(horizon), antithetic)
             for chunk in chunks
         ]
-        values = self.backend.map_tasks(
-            _value_chunk_task,
-            self,
-            payloads,
-            out_sizes=[(chunk.size,) for chunk in chunks],
-        )
+        values = self.backend.map_tasks(_value_chunk_task, self, payloads)
         return float(np.concatenate(values).mean())
 
     def conditional_pathwise(
@@ -721,13 +718,15 @@ class NestedMonteCarloEngine:
         Because each chunk is a pure function of ``(seed, chunk index)``,
         mixing cached and computed chunks preserves bit-identity.
 
-        On a ``cross_chunk`` backend the pending chunks are fused into
-        groups of up to ``max_fused_scenarios`` scenarios and each group
-        runs as a *single* batched kernel call; the fused result is split
-        back along the chunk boundaries, so checkpointing, resume and
-        rank routing keep their per-chunk granularity (and bit-identity —
+        On the batched backend the pending chunks are fused into groups
+        of up to ``DEFAULT_MAX_FUSED`` scenarios and each group runs as a
+        *single* batched kernel call; the fused result is split back
+        along the chunk boundaries, so checkpointing, resume and rank
+        routing keep their per-chunk granularity (and bit-identity —
         scenario streams are keyed by scenario index, and the batched
-        kernel is row-wise).
+        kernel is row-wise).  The process pool runs the batched kernel
+        once per chunk; the serial backend runs the reference
+        per-scenario loop.
         """
         results: list[tuple[np.ndarray, np.ndarray] | None] = []
         pending: list[tuple[int, Any]] = []
@@ -740,7 +739,14 @@ class NestedMonteCarloEngine:
             results.append(cached)
             if cached is None:
                 pending.append((position, chunk))
-        if pending and getattr(self.backend, "cross_chunk", False):
+
+        def record(done: Sequence[tuple[int, Any]], parts: Any) -> None:
+            for (position, chunk), (values, std) in zip(done, parts):
+                if chunk_store is not None:
+                    chunk_store.put(chunk.index, values, std)
+                results[position] = (values, std)
+
+        if isinstance(self.backend, BatchedVectorBackend):
             for group in self._fusion_groups(pending):
                 group_chunks = [chunk for _, chunk in group]
                 values, std = self._conditional_values_batch(
@@ -753,20 +759,13 @@ class NestedMonteCarloEngine:
                     [l for chunk in group_chunks for l in lapses[chunk.indices]],
                     n_inner,
                 )
-                offset = 0
-                for position, chunk in group:
-                    part = (
-                        values[offset : offset + chunk.size],
-                        std[offset : offset + chunk.size],
-                    )
-                    offset += chunk.size
-                    if chunk_store is not None:
-                        chunk_store.put(chunk.index, part[0], part[1])
-                    results[position] = part
-        elif pending:
+                # Checkpoint each group as it completes, not after all.
+                bounds = np.cumsum([chunk.size for chunk in group_chunks])[:-1]
+                record(group, zip(np.split(values, bounds), np.split(std, bounds)))
+        else:
             task = (
                 _conditional_chunk_vector
-                if self.backend.vectorized
+                if isinstance(self.backend, ProcessPoolBackend)
                 else _conditional_chunk_serial
             )
             payloads = [
@@ -779,16 +778,7 @@ class NestedMonteCarloEngine:
                 )
                 for _, chunk in pending
             ]
-            computed = self.backend.map_tasks(
-                task,
-                self,
-                payloads,
-                out_sizes=[(chunk.size, chunk.size) for _, chunk in pending],
-            )
-            for (position, chunk), (values, std) in zip(pending, computed):
-                if chunk_store is not None:
-                    chunk_store.put(chunk.index, values, std)
-                results[position] = (values, std)
+            record(pending, self.backend.map_tasks(task, self, payloads))
         return [entry for entry in results if entry is not None]
 
     def _fusion_groups(
@@ -796,16 +786,15 @@ class NestedMonteCarloEngine:
     ) -> list[list[tuple[int, Any]]]:
         """Greedy grouping of pending chunks for cross-chunk fusion.
 
-        Groups are filled in chunk order up to the backend's
-        ``max_fused_scenarios`` scenario budget (always at least one
-        chunk per group, so oversized chunks still run).
+        Groups are filled in chunk order up to ``DEFAULT_MAX_FUSED``
+        scenarios (always at least one chunk per group, so oversized
+        chunks still run).
         """
-        limit = int(getattr(self.backend, "max_fused_scenarios", 0)) or None
         groups: list[list[tuple[int, Any]]] = []
         current: list[tuple[int, Any]] = []
         current_size = 0
         for position, chunk in pending:
-            if current and limit and current_size + chunk.size > limit:
+            if current and current_size + chunk.size > DEFAULT_MAX_FUSED:
                 groups.append(current)
                 current, current_size = [], 0
             current.append((position, chunk))

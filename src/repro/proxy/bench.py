@@ -56,7 +56,7 @@ def run_proxy_bench(
     mlmc_base_inner: int = 4,
     seed: int = 0,
     smoke: bool = False,
-    backend: str = "chunked",
+    backend: str | None = None,
     steps_per_year: int = 4,
 ) -> BenchReport:
     """Time and cross-check the three SCR tiers.
@@ -127,7 +127,7 @@ def run_proxy_bench(
             "mlmc_base_inner": mlmc_base_inner,
             "seed": seed,
             "smoke": smoke,
-            "backend": backend,
+            "backend": engine.backend.name,
             "steps_per_year": steps_per_year,
             "scr_exact": scr_exact,
             "scr_proxy": scr_proxy,

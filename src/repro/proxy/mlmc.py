@@ -319,10 +319,7 @@ class MLMCEngine:
             for chunk in chunks
         ]
         results = self.engine.backend.map_tasks(
-            _mlmc_chunk_task,
-            self.engine,
-            payloads,
-            out_sizes=[(chunk.size, chunk.size) for chunk in chunks],
+            _mlmc_chunk_task, self.engine, payloads
         )
         fine = np.concatenate([f for f, _ in results])
         coarse = np.concatenate([c for _, c in results])

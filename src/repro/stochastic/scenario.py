@@ -276,7 +276,7 @@ class ScenarioGenerator:
         of guaranteed business.  The Gaussian copula commutes with
         negation, so the correlation structure is preserved exactly.
 
-        Batched execution hooks (used by the chunked-vector backend):
+        Batched execution hooks (used by the batched and process backends):
 
         - ``start_features`` — a ``(n_paths, k)`` matrix of *per-path*
           initial states in :meth:`ScenarioSet.terminal_features` column

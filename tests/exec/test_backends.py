@@ -9,13 +9,9 @@ import pytest
 
 from repro.exec.backends import (
     DEFAULT_CHUNK_SIZE,
-    DEFAULT_MAX_FUSED,
     BatchedVectorBackend,
-    ChunkedVectorBackend,
     ProcessPoolBackend,
     SerialBackend,
-    SharedMemoryBackend,
-    ThreadPoolBackend,
     WorkChunk,
     backend_from,
     chunk_seed_sequences,
@@ -94,9 +90,9 @@ class TestChunkSeedSequences:
 
 
 class TestBackendFrom:
-    def test_none_selects_chunked_default(self):
+    def test_none_selects_batched_default(self):
         backend = backend_from(None)
-        assert isinstance(backend, ChunkedVectorBackend)
+        assert isinstance(backend, BatchedVectorBackend)
         assert backend.chunk_size == DEFAULT_CHUNK_SIZE
 
     def test_instances_pass_through(self):
@@ -105,54 +101,47 @@ class TestBackendFrom:
 
     def test_spec_strings(self):
         assert isinstance(backend_from("serial"), SerialBackend)
-        assert isinstance(backend_from("chunked"), ChunkedVectorBackend)
-        assert isinstance(backend_from("vector"), ChunkedVectorBackend)
+        assert isinstance(backend_from("batched"), BatchedVectorBackend)
         assert backend_from("serial:32").chunk_size == 32
         process = backend_from("process:3")
         assert isinstance(process, ProcessPoolBackend)
         assert process.effective_workers == 3
 
     def test_new_backend_spec_strings(self):
-        thread = backend_from("thread:3")
-        assert isinstance(thread, ThreadPoolBackend)
-        assert thread.effective_workers == 3
-        assert thread.vectorized
-        shm = backend_from("shm:2")
-        assert isinstance(shm, SharedMemoryBackend)
-        assert shm.effective_workers == 2
         batched = backend_from("batched:16")
         assert isinstance(batched, BatchedVectorBackend)
         assert batched.chunk_size == 16
-        assert batched.cross_chunk
-        assert batched.max_fused_scenarios == DEFAULT_MAX_FUSED
-        # Only the fusing backend advertises cross-chunk capability.
-        for other in ("serial", "chunked", "process", "thread", "shm"):
-            assert not backend_from(other).cross_chunk
+        process = backend_from("process")
+        assert isinstance(process, ProcessPoolBackend)
+        assert process.max_workers is None
+        assert process.chunk_size == DEFAULT_CHUNK_SIZE
 
     def test_rejects_unknown_specs(self):
-        with pytest.raises(ValueError):
-            backend_from("gpu")
-        with pytest.raises(ValueError):
-            backend_from("serial:many")
-        with pytest.raises(ValueError):
-            backend_from("thread:zero")
+        for spec in (
+            "gpu", "chunked", "thread", "shm", "vector", "chunked-vector",
+            "serial:many", "thread:zero", "serial:0", "batched:0",
+            "process:0", "batched:-8",
+        ):
+            with pytest.raises(ValueError):
+                backend_from(spec)
 
     def test_map_preserves_payload_order(self):
         payloads = list(range(10))
-        for backend in (SerialBackend(), ChunkedVectorBackend()):
-            assert backend.map(lambda x: x * x, payloads) == [
-                p * p for p in payloads
-            ]
+        for backend in (SerialBackend(), BatchedVectorBackend()):
+            assert backend.map_tasks(
+                lambda ctx, x: ctx * x, 3, payloads
+            ) == [3 * p for p in payloads]
 
     def test_process_backend_single_payload_runs_inline(self):
         # A lambda is not picklable: this only passes because one-payload
         # maps skip the pool entirely.
         backend = ProcessPoolBackend(max_workers=2)
-        assert backend.map(lambda x: x + 1, [41]) == [42]
+        assert backend.map_tasks(lambda ctx, x: ctx + x, 1, [41]) == [42]
 
 
-def _barrier_pid(barrier):
+def _barrier_pid(context, barrier):
     """Rendezvous with the other worker, then report this process's pid."""
+    del context
     barrier.wait()
     return os.getpid()
 
@@ -161,47 +150,7 @@ def _barrier_pid(barrier):
 
 
 def _scale_array(context, payload):
-    """One 1-D float64 result — exercises single-view result slabs."""
     return np.asarray(payload, dtype=float) * context
-
-
-def _explode_on_marked(context, payload):
-    """Raises on the marked payload: the failure lands mid-gather,
-    after the result slab was created and other tasks succeeded."""
-    arr = np.asarray(payload, dtype=float)
-    if arr[0] == 1.0:
-        raise RuntimeError("mid-gather failure injected")
-    return arr
-
-
-def _install_recording_shm(monkeypatch, backends_module, close_raises=False):
-    """Swap the backend module's SharedMemory for a name-recording (and
-    optionally close-poisoned) subclass; returns the created-names list."""
-    created: list[str] = []
-    real_cls = multiprocessing.shared_memory.SharedMemory
-
-    class _RecordingShm(real_cls):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            if kwargs.get("create"):
-                created.append(self.name)
-
-        if close_raises:
-
-            def close(self):
-                super().close()
-                raise OSError("close failed")
-
-    monkeypatch.setattr(
-        backends_module.shared_memory, "SharedMemory", _RecordingShm
-    )
-    return created
-
-
-def _stats_pair(context, payload):
-    """Two 1-D float64 results — the (values, std_errors) chunk shape."""
-    arr = np.asarray(payload[1], dtype=float)
-    return arr * context, arr + payload[0]
 
 
 _CONTEXT_PICKLES = {"count": 0}
@@ -225,12 +174,7 @@ class TestMapTasks:
         context = {"offset": 10}  # not picklable across processes? it is,
         # but identity is what in-process dispatch must preserve.
         seen = []
-        for backend in (
-            SerialBackend(),
-            ChunkedVectorBackend(),
-            BatchedVectorBackend(),
-            ThreadPoolBackend(max_workers=2),
-        ):
+        for backend in (SerialBackend(), BatchedVectorBackend()):
             result = backend.map_tasks(
                 lambda ctx, p: (id(ctx), ctx["offset"] + p), context, [1, 2, 3]
             )
@@ -238,12 +182,6 @@ class TestMapTasks:
             assert [value for _, value in result] == [11, 12, 13]
         for result in seen:
             assert all(ctx_id == id(context) for ctx_id, _ in result)
-
-    def test_thread_backend_map_accepts_lambdas(self):
-        backend = ThreadPoolBackend(max_workers=2)
-        assert backend.map(lambda x: x * x, list(range(6))) == [
-            0, 1, 4, 9, 16, 25
-        ]
 
     def test_process_backend_preserves_order(self):
         backend = ProcessPoolBackend(max_workers=2)
@@ -277,83 +215,6 @@ def _scale_and_offset(context, payload):
     return context.scale * payload
 
 
-class TestSharedMemoryBackend:
-    def test_arrays_round_trip_through_the_slab(self):
-        backend = SharedMemoryBackend(max_workers=2)
-        payloads = [np.linspace(0.0, 1.0, 7) + i for i in range(4)]
-        results = backend.map_tasks(_scale_array, 3.0, payloads)
-        for payload, result in zip(payloads, results):
-            assert np.array_equal(result, payload * 3.0)
-
-    def test_out_sizes_route_results_through_the_slab(self):
-        backend = SharedMemoryBackend(max_workers=2)
-        payloads = [(float(i), np.arange(5, dtype=float)) for i in range(4)]
-        results = backend.map_tasks(
-            _stats_pair, 2.0, payloads, out_sizes=[(5, 5)] * 4
-        )
-        for i, (scaled, offset) in enumerate(results):
-            assert np.array_equal(scaled, np.arange(5, dtype=float) * 2.0)
-            assert np.array_equal(offset, np.arange(5, dtype=float) + i)
-
-    def test_single_view_out_sizes_return_bare_arrays(self):
-        backend = SharedMemoryBackend(max_workers=2)
-        payloads = [np.full(3, float(i)) for i in range(3)]
-        results = backend.map_tasks(
-            _scale_array, -1.0, payloads, out_sizes=[(3,)] * 3
-        )
-        for i, result in enumerate(results):
-            assert isinstance(result, np.ndarray)
-            assert np.array_equal(result, np.full(3, -float(i)))
-
-    def test_out_sizes_length_mismatch_rejected(self):
-        backend = SharedMemoryBackend(max_workers=2)
-        with pytest.raises(ValueError, match="out_sizes"):
-            backend.map_tasks(
-                _scale_array,
-                1.0,
-                [np.zeros(2), np.zeros(2)],
-                out_sizes=[(2,)],
-            )
-
-    def test_single_payload_runs_inline(self):
-        backend = SharedMemoryBackend(max_workers=2)
-        result = backend.map_tasks(
-            lambda ctx, p: p * ctx, 5.0, [np.ones(4)], out_sizes=[(4,)]
-        )
-        assert np.array_equal(result[0], np.full(4, 5.0))
-
-    def test_worker_failure_mid_gather_leaks_no_slab(self, monkeypatch):
-        """A task raising while results are gathered must still unlink
-        the result slab — a leaked /dev/shm segment outlives the run."""
-        from repro.exec import backends as backends_module
-
-        created = _install_recording_shm(monkeypatch, backends_module)
-        backend = SharedMemoryBackend(max_workers=2)
-        with pytest.raises(RuntimeError, match="mid-gather"):
-            backend.map_tasks(
-                _explode_on_marked,
-                1.0,
-                [np.zeros(3), np.ones(3), np.zeros(3)],
-            )
-        assert len(created) == 1
-        with pytest.raises(FileNotFoundError):
-            multiprocessing.shared_memory.SharedMemory(name=created[0])
-
-    def test_close_failure_still_unlinks_the_slab(self, monkeypatch):
-        """close() raising inside the cleanup must not mask unlink()."""
-        from repro.exec import backends as backends_module
-
-        created = _install_recording_shm(
-            monkeypatch, backends_module, close_raises=True
-        )
-        backend = SharedMemoryBackend(max_workers=2)
-        with pytest.raises(OSError, match="close failed"):
-            backend.map_tasks(_scale_array, 2.0, [np.ones(2), np.ones(2)])
-        assert len(created) == 1
-        with pytest.raises(FileNotFoundError):
-            multiprocessing.shared_memory.SharedMemory(name=created[0])
-
-
 class TestProcessPoolWorkers:
     """Worker-count-sensitive behaviour of the process pool.
 
@@ -367,17 +228,14 @@ class TestProcessPoolWorkers:
     def test_default_worker_count_tracks_host_cores(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXEC_WORKERS", raising=False)
         assert ProcessPoolBackend().effective_workers == (os.cpu_count() or 1)
-        assert ThreadPoolBackend().effective_workers == (os.cpu_count() or 1)
 
     def test_env_override_sets_default_workers(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC_WORKERS", "3")
         assert ProcessPoolBackend().effective_workers == 3
-        assert ThreadPoolBackend().effective_workers == 3
 
     def test_explicit_max_workers_beats_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC_WORKERS", "5")
         assert ProcessPoolBackend(max_workers=2).effective_workers == 2
-        assert ThreadPoolBackend(max_workers=2).effective_workers == 2
 
     def test_env_override_rejects_non_positive(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC_WORKERS", "0")
@@ -387,8 +245,8 @@ class TestProcessPoolWorkers:
     def test_map_spreads_across_worker_processes(self):
         with multiprocessing.Manager() as manager:
             barrier = manager.Barrier(2, timeout=60)
-            pids = ProcessPoolBackend(max_workers=2).map(
-                _barrier_pid, [barrier, barrier]
+            pids = ProcessPoolBackend(max_workers=2).map_tasks(
+                _barrier_pid, None, [barrier, barrier]
             )
         assert len(set(pids)) == 2
 
@@ -398,5 +256,7 @@ class TestProcessPoolWorkers:
         monkeypatch.setenv("REPRO_EXEC_WORKERS", "2")
         with multiprocessing.Manager() as manager:
             barrier = manager.Barrier(2, timeout=60)
-            pids = ProcessPoolBackend().map(_barrier_pid, [barrier, barrier])
+            pids = ProcessPoolBackend().map_tasks(
+                _barrier_pid, None, [barrier, barrier]
+            )
         assert len(set(pids)) == 2

@@ -35,7 +35,7 @@ class TestBenchReport:
         )
         report.timings.append(
             KernelTiming(
-                "nested", "chunked", "chunked", 0.5, 8,
+                "nested", "batched", "batched", 0.5, 8,
                 checksum=1.25, speedup_vs_serial=4.0,
             )
         )
@@ -69,13 +69,13 @@ class TestBenchReport:
 class TestRunNestedBench:
     @pytest.fixture(scope="class")
     def smoke_report(self):
-        return run_nested_bench(backends=("serial", "chunked"), smoke=True)
+        return run_nested_bench(backends=("serial", "batched"), smoke=True)
 
     def test_times_every_kernel_on_every_backend(self, smoke_report):
         assert smoke_report.kernels() == ["nested", "lsmc", "valuation"]
         for kernel in smoke_report.kernels():
             assert [t.backend for t in smoke_report.of_kernel(kernel)] == [
-                "serial", "chunked",
+                "serial", "batched",
             ]
 
     def test_backends_bit_identical(self, smoke_report):
@@ -84,10 +84,10 @@ class TestRunNestedBench:
 
     def test_speedups_relative_to_serial(self, smoke_report):
         for kernel in smoke_report.kernels():
-            serial, chunked = smoke_report.of_kernel(kernel)
+            serial, batched = smoke_report.of_kernel(kernel)
             assert serial.speedup_vs_serial is None
-            assert chunked.speedup_vs_serial is not None
-            assert chunked.speedup_vs_serial > 0.0
+            assert batched.speedup_vs_serial is not None
+            assert batched.speedup_vs_serial > 0.0
 
     def test_write_json(self, smoke_report, tmp_path):
         path = tmp_path / "BENCH_nested.json"
@@ -145,7 +145,7 @@ class TestCompareAgainst:
         report = BenchReport(config={"n_outer": 4})
         report.timings.append(
             KernelTiming(
-                "nested", "chunked", "chunked", 8.0 / rate, 8, checksum=1.0
+                "nested", "batched", "batched", 8.0 / rate, 8, checksum=1.0
             )
         )
         return report.to_dict()
@@ -160,7 +160,7 @@ class TestCompareAgainst:
         assert len(regressions) == 1
         entry = regressions[0]
         assert entry["kernel"] == "nested"
-        assert entry["backend"] == "chunked"
+        assert entry["backend"] == "batched"
         assert entry["drop"] == pytest.approx(0.5)
 
     def test_compares_against_last_history_entry(self):

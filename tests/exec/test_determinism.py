@@ -1,9 +1,8 @@
 """Cross-backend bit-identity of the nested Monte Carlo engine.
 
 The determinism contract of :mod:`repro.exec`: at a fixed seed and chunk
-size, every backend (serial loop, process pool, thread pool,
-shared-memory pool, chunked vector kernel, batched cross-chunk kernel)
-produces bit-identical results — parallelism, vectorization and
+size, every backend (serial loop, batched cross-chunk kernel, process
+pool) produces bit-identical results — parallelism, vectorization and
 cross-chunk fusion change wall-clock time only, never a single bit of
 the SCR inputs.
 """
@@ -17,12 +16,10 @@ import pytest
 from repro.cluster.comm import run_spmd
 from repro.exec.backends import (
     BatchedVectorBackend,
-    ChunkedVectorBackend,
     ProcessPoolBackend,
     SerialBackend,
-    SharedMemoryBackend,
-    ThreadPoolBackend,
 )
+from repro.montecarlo import nested
 from repro.montecarlo.lsmc import LSMCEngine
 from repro.montecarlo.nested import NestedMonteCarloEngine
 from repro.runtime import RunCheckpoint
@@ -54,25 +51,28 @@ def make_engine(portfolio, backend, **overrides):
 def backends():
     return [
         SerialBackend(chunk_size=CHUNK),
-        ProcessPoolBackend(max_workers=2, chunk_size=CHUNK),
-        ChunkedVectorBackend(chunk_size=CHUNK),
-        ProcessPoolBackend(max_workers=2, chunk_size=CHUNK, vectorized=True),
-        ThreadPoolBackend(max_workers=2, chunk_size=CHUNK),
-        SharedMemoryBackend(max_workers=2, chunk_size=CHUNK),
         BatchedVectorBackend(chunk_size=CHUNK),
-        # A tiny fusion budget forces several fusion groups even at the
-        # test's 10-scenario outer stage: group splitting must not move
-        # a single bit either.
-        BatchedVectorBackend(chunk_size=CHUNK, max_fused_scenarios=6),
+        ProcessPoolBackend(max_workers=2, chunk_size=CHUNK),
     ]
 
 
+def on_every_backend(run, monkeypatch):
+    """``run(backend)`` on every backend, then once more on the batched
+    backend with a fusion budget of 6 scenarios: at the tests'
+    8-10-scenario outer stages that forces several fusion groups, and
+    group splitting must not move a single bit either."""
+    results = [run(backend) for backend in backends()]
+    monkeypatch.setattr(nested, "DEFAULT_MAX_FUSED", 6)
+    results.append(run(BatchedVectorBackend(chunk_size=CHUNK)))
+    return results
+
+
 class TestRunBitIdentity:
-    def test_all_backends_identical(self, portfolio):
-        results = [
-            make_engine(portfolio, backend).run(10, 6, rng=7)
-            for backend in backends()
-        ]
+    def test_all_backends_identical(self, portfolio, monkeypatch):
+        results = on_every_backend(
+            lambda backend: make_engine(portfolio, backend).run(10, 6, rng=7),
+            monkeypatch,
+        )
         reference = results[0]
         for result in results[1:]:
             assert np.array_equal(reference.outer_values, result.outer_values)
@@ -89,13 +89,13 @@ class TestRunBitIdentity:
         serial = make_engine(
             portfolio, SerialBackend(chunk_size=CHUNK), dynamic_lapses=True
         ).run(8, 5, rng=5)
-        chunked = make_engine(
-            portfolio, ChunkedVectorBackend(chunk_size=CHUNK), dynamic_lapses=True
+        batched = make_engine(
+            portfolio, BatchedVectorBackend(chunk_size=CHUNK), dynamic_lapses=True
         ).run(8, 5, rng=5)
-        assert np.array_equal(serial.outer_values, chunked.outer_values)
+        assert np.array_equal(serial.outer_values, batched.outer_values)
 
     def test_same_seed_same_result_on_one_backend(self, portfolio):
-        engine = make_engine(portfolio, ChunkedVectorBackend(chunk_size=CHUNK))
+        engine = make_engine(portfolio, BatchedVectorBackend(chunk_size=CHUNK))
         a = engine.run(10, 6, rng=13)
         b = engine.run(10, 6, rng=13)
         assert np.array_equal(a.outer_values, b.outer_values)
@@ -113,18 +113,18 @@ class TestFineGridBitIdentity:
     """The ``steps_per_year > 1`` fine grid across every backend."""
 
     @pytest.mark.parametrize("steps", [2, 3])
-    def test_all_backends_identical(self, portfolio, steps):
-        results = [
-            make_engine(portfolio, backend).run(
+    def test_all_backends_identical(self, portfolio, steps, monkeypatch):
+        results = on_every_backend(
+            lambda backend: make_engine(portfolio, backend).run(
                 8, 5, rng=7, steps_per_year=steps
-            )
-            for backend in backends()
-        ]
+            ),
+            monkeypatch,
+        )
         for result in results[1:]:
             assert_nested_equal(results[0], result)
 
     def test_fine_grid_differs_from_annual(self, portfolio):
-        backend = ChunkedVectorBackend(chunk_size=CHUNK)
+        backend = BatchedVectorBackend(chunk_size=CHUNK)
         annual = make_engine(portfolio, backend).run(8, 5, rng=7,
                                                      steps_per_year=1)
         fine = make_engine(portfolio, backend).run(8, 5, rng=7,
@@ -139,7 +139,7 @@ class TestRankRoutedBitIdentity:
 
     @pytest.mark.parametrize("size", [1, 2, 3])
     def test_run_distributed_equals_run(self, portfolio, size):
-        backend = ChunkedVectorBackend(chunk_size=CHUNK)
+        backend = BatchedVectorBackend(chunk_size=CHUNK)
         sequential = make_engine(portfolio, backend).run(
             10, 6, rng=7, steps_per_year=2
         )
@@ -156,15 +156,15 @@ class TestRankRoutedBitIdentity:
         "backend_factory",
         [
             lambda: SerialBackend(chunk_size=CHUNK),
-            lambda: ChunkedVectorBackend(chunk_size=CHUNK),
+            lambda: BatchedVectorBackend(chunk_size=CHUNK),
         ],
-        ids=["serial", "chunked"],
+        ids=["serial", "batched"],
     )
     def test_distributed_identical_across_backends(
         self, portfolio, backend_factory
     ):
         reference = make_engine(
-            portfolio, ChunkedVectorBackend(chunk_size=CHUNK)
+            portfolio, BatchedVectorBackend(chunk_size=CHUNK)
         ).run(10, 6, rng=11)
         results = run_spmd(
             2,
@@ -180,14 +180,13 @@ class TestRankRoutedBitIdentity:
         # on any host (CI additionally sets REPRO_EXEC_WORKERS=2 so
         # env-defaulted pools exercise real spread on 1-core runners).
         reference = make_engine(
-            portfolio, ChunkedVectorBackend(chunk_size=CHUNK)
+            portfolio, BatchedVectorBackend(chunk_size=CHUNK)
         ).run(10, 6, rng=11)
         results = run_spmd(
             2,
             lambda comm: make_engine(
                 portfolio,
-                ProcessPoolBackend(max_workers=2, chunk_size=CHUNK,
-                                   vectorized=True),
+                ProcessPoolBackend(max_workers=2, chunk_size=CHUNK),
             ).run_distributed(comm, 10, 6, rng=11),
         )
         assert_nested_equal(reference, results[0])
@@ -215,8 +214,7 @@ class TestRankRoutedBitIdentity:
 class TestValueAtZeroBitIdentity:
     def test_plain_and_antithetic(self, portfolio):
         values = {
-            backend.describe()
-            + str(getattr(backend, "vectorized", False)): (
+            backend.describe(): (
                 make_engine(portfolio, backend).value_at_zero(50, rng=11),
                 make_engine(portfolio, backend).value_at_zero(
                     48, rng=11, antithetic=True
@@ -235,11 +233,13 @@ class TestLSMCBitIdentity:
     fitted proxy — and with it the full LSMC valuation — must be
     bit-identical across every backend, including the fused one."""
 
-    def test_all_backends_identical(self, portfolio):
-        results = [
-            LSMCEngine(make_engine(portfolio, backend)).run(40, 20, 6, rng=5)
-            for backend in backends()
-        ]
+    def test_all_backends_identical(self, portfolio, monkeypatch):
+        results = on_every_backend(
+            lambda backend: LSMCEngine(make_engine(portfolio, backend)).run(
+                40, 20, 6, rng=5
+            ),
+            monkeypatch,
+        )
         reference = results[0]
         for result in results[1:]:
             assert np.array_equal(reference.outer_values, result.outer_values)
@@ -254,7 +254,7 @@ class TestLSMCBitIdentity:
 class TestResumeWithZeroCopyBackends:
     """Chunk checkpoints written by the serial backend — even ones folded
     into segments after every put — must resume bit-identically on the
-    thread, shared-memory and batched backends."""
+    batched and process-pool backends."""
 
     def _run(self, portfolio, backend, chunk_store=None):
         return make_engine(portfolio, backend).run(
@@ -264,11 +264,10 @@ class TestResumeWithZeroCopyBackends:
     @pytest.mark.parametrize(
         "resume_backend",
         [
-            lambda: ThreadPoolBackend(max_workers=2, chunk_size=CHUNK),
-            lambda: SharedMemoryBackend(max_workers=2, chunk_size=CHUNK),
             lambda: BatchedVectorBackend(chunk_size=CHUNK),
+            lambda: ProcessPoolBackend(max_workers=2, chunk_size=CHUNK),
         ],
-        ids=["thread", "shm", "batched"],
+        ids=["batched", "process"],
     )
     def test_compacted_serial_checkpoint_resumes(
         self, portfolio, resume_backend
@@ -349,7 +348,7 @@ class TestEngineShippedOncePerDispatch:
 
 class TestFaultCorpusBackendOverride:
     """A campaign perturbed by a corpus fault schedule and executed with
-    the zero-copy backends (via the master's per-campaign override) must
+    the other backends (via the master's per-campaign override) must
     recover to the bit-identical figures of a clean default-backend run."""
 
     CORPUS = Path(__file__).resolve().parents[1] / "faults" / "corpus"
@@ -362,7 +361,7 @@ class TestFaultCorpusBackendOverride:
             small_campaign.blocks, n_units=3, distribute_alm=True
         )
 
-    @pytest.mark.parametrize("backend", ["thread:2", "shm:2", "batched"])
+    @pytest.mark.parametrize("backend", ["serial", "process:2"])
     def test_recovered_campaign_matches_clean_run(
         self, small_campaign, clean_report, backend
     ):
@@ -412,7 +411,7 @@ class TestDecrementTableCache:
         assert len(cache) == cache.misses
 
     def test_cache_reused_across_value_at_zero_chunks(self, portfolio):
-        engine = make_engine(portfolio, ChunkedVectorBackend(chunk_size=8))
+        engine = make_engine(portfolio, BatchedVectorBackend(chunk_size=8))
         engine.value_at_zero(32, rng=1)
         cache = engine._table_cache
         # 4 chunks share one table per contract: 1 miss + 3 hits each.

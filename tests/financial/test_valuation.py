@@ -329,7 +329,7 @@ class TestBatchedDecrementTable:
 class TestBatchedCashFlows:
     def test_per_path_decrement_matrices_match_scalar_rows(self, valuator):
         # A (n_paths, term) decrement matrix values each row with its own
-        # table — the stacked form the chunked backend feeds cash_flows.
+        # table — the stacked form the batched kernel feeds cash_flows.
         from repro.financial.valuation import DecrementTable
 
         c = contract(kind=ContractKind.ENDOWMENT, term=4)

@@ -34,7 +34,7 @@ TIERS = ("exact", "proxy", "mlmc")
 SEEDS = (0, 7)
 #: Backends every case must reproduce on (``--check`` and the pytest
 #: corpus test recompute each case per backend).
-BACKENDS = ("serial", "chunked", "thread:2")
+BACKENDS = ("serial", "batched", "process:2")
 
 #: Problem size: small enough that the full grid recomputes in seconds.
 N_OUTER = 48
@@ -60,7 +60,7 @@ def _portfolio() -> tuple[RiskDriverSpec, SegregatedFund, list[PolicyContract]]:
     return RiskDriverSpec.standard(n_equities=2), SegregatedFund(), contracts
 
 
-def compute_scr(tier: str, seed: int, backend: str = "chunked") -> float:
+def compute_scr(tier: str, seed: int, backend: str | None = None) -> float:
     """The corpus value of one case: the tier's SCR at the given seed."""
     spec, fund, contracts = _portfolio()
     engine = NestedMonteCarloEngine(spec, fund, contracts, backend=backend)
@@ -90,7 +90,7 @@ def case_key(tier: str, seed: int) -> str:
     return f"{tier}/seed{seed}"
 
 
-def compute_corpus(backend: str = "chunked") -> dict[str, dict[str, Any]]:
+def compute_corpus(backend: str | None = None) -> dict[str, dict[str, Any]]:
     """Every case of the grid, on one backend."""
     corpus: dict[str, dict[str, Any]] = {}
     for tier in TIERS:

@@ -30,7 +30,7 @@ def proxy_portfolio() -> tuple[RiskDriverSpec, SegregatedFund, list[PolicyContra
 def make_engine(proxy_portfolio):
     spec, fund, contracts = proxy_portfolio
 
-    def factory(backend: str = "chunked") -> NestedMonteCarloEngine:
+    def factory(backend: str | None = None) -> NestedMonteCarloEngine:
         return NestedMonteCarloEngine(spec, fund, contracts, backend=backend)
 
     return factory

@@ -44,7 +44,7 @@ class TestBudgetIndices:
             budget_indices(10, 8, 4)
 
 
-def _make_proxy(make_engine, backend="chunked"):
+def _make_proxy(make_engine, backend=None):
     # tail_z/tail_floor_multiple above the defaults: at these tiny
     # sizes the 99.5% quantile is the top scenario, so the refinement
     # must cover the whole plausible tail for the hybrid quantile to
@@ -68,7 +68,7 @@ def proxy_result(make_engine):
 
 @pytest.fixture(scope="module")
 def exact_result(make_engine):
-    return make_engine("chunked").run(
+    return make_engine().run(
         N_OUTER, N_INNER, rng=SEED, steps_per_year=STEPS
     )
 
@@ -76,7 +76,7 @@ def exact_result(make_engine):
 class TestProxyDeterminism:
     @pytest.mark.tier2
     def test_bitwise_identical_across_backends(self, make_engine, proxy_result):
-        for backend in ("serial", "thread:2"):
+        for backend in ("serial", "process:2"):
             other = _make_proxy(make_engine, backend).run(
                 N_OUTER, N_INNER, rng=SEED, steps_per_year=STEPS
             )
@@ -161,7 +161,7 @@ class TestSavingsAccounting:
 class TestGateFallback:
     def test_underfit_proxy_falls_back_to_exact(self, make_engine, exact_result):
         proxy = ProxySCREngine(
-            make_engine("chunked"),
+            make_engine(),
             valuator=ConstantValuator(),
             n_train=24,
             n_validation=12,

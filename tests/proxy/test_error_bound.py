@@ -31,7 +31,7 @@ def _proxy_engine(make_engine, valuator="lsmc", tolerance=TOLERANCE):
     # scenarios the quantile rests on a handful of order statistics, so
     # the refined set must cover the whole plausible tail.
     return ProxySCREngine(
-        make_engine("chunked"),
+        make_engine(),
         valuator=valuator,
         n_train=N_TRAIN,
         n_validation=N_VALIDATION,
@@ -45,7 +45,7 @@ def _proxy_engine(make_engine, valuator="lsmc", tolerance=TOLERANCE):
 class TestErrorBoundSeedSweep:
     def test_proxy_scr_within_gate_bound_across_seeds(self, make_engine):
         calc = SCRCalculator()
-        engine = make_engine("chunked")
+        engine = make_engine()
         errors = []
         fallbacks = 0
         for seed in SEEDS:
@@ -83,7 +83,7 @@ class TestExtendedSeedSweep:
 
     def test_error_bound_holds_on_fresh_seeds(self, make_engine):
         calc = SCRCalculator()
-        engine = make_engine("chunked")
+        engine = make_engine()
         for seed in range(100, 150):
             exact = engine.run(N_OUTER, N_INNER, rng=seed, steps_per_year=STEPS)
             result = _proxy_engine(make_engine).run(
@@ -100,7 +100,7 @@ class TestExtendedSeedSweep:
 
 class TestUnderfitProxyTripsTheGate:
     def test_gate_breaches_and_falls_back_bitwise(self, make_engine):
-        engine = make_engine("chunked")
+        engine = make_engine()
         result = _proxy_engine(
             make_engine, valuator=ConstantValuator(), tolerance=0.01
         ).run(N_OUTER, N_INNER, rng=0, steps_per_year=STEPS)

@@ -12,14 +12,14 @@ SEED = 3
 
 @pytest.fixture(scope="module")
 def mlmc_result(make_engine):
-    mlmc = MLMCEngine(make_engine("chunked"), n_levels=2, base_inner=4)
+    mlmc = MLMCEngine(make_engine(), n_levels=2, base_inner=4)
     return mlmc.run(N_OUTER, rng=SEED, steps_per_year=STEPS)
 
 
 class TestMLMCDeterminism:
     @pytest.mark.tier2
     def test_bitwise_identical_across_backends(self, make_engine, mlmc_result):
-        for backend in ("serial", "thread:2"):
+        for backend in ("serial", "process:2"):
             other = MLMCEngine(
                 make_engine(backend), n_levels=2, base_inner=4
             ).run(N_OUTER, rng=SEED, steps_per_year=STEPS)
@@ -31,7 +31,7 @@ class TestMLMCDeterminism:
             ]
 
     def test_repeat_run_is_bitwise_identical(self, make_engine, mlmc_result):
-        again = MLMCEngine(make_engine("chunked"), n_levels=2, base_inner=4).run(
+        again = MLMCEngine(make_engine(), n_levels=2, base_inner=4).run(
             N_OUTER, rng=SEED, steps_per_year=STEPS
         )
         assert again.scr == mlmc_result.scr
@@ -43,7 +43,7 @@ class TestLevelZeroAnchor:
         """The decomposition is anchored to the exact tier: level 0
         consumes the exact tier's spawned streams, so its fine values
         are bitwise an exact run at ``n_inner = base_inner``."""
-        engine = make_engine("chunked")
+        engine = make_engine()
         mlmc = MLMCEngine(engine, n_levels=1, base_inner=4).run(
             N_OUTER, rng=SEED, steps_per_year=STEPS, n_inner_reference=4
         )

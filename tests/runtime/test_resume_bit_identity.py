@@ -14,11 +14,8 @@ from repro.core.persistence import load_checkpoint, save_checkpoint
 from repro.disar.master import DisarMasterService
 from repro.exec import (
     BatchedVectorBackend,
-    ChunkedVectorBackend,
     ProcessPoolBackend,
     SerialBackend,
-    SharedMemoryBackend,
-    ThreadPoolBackend,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule, RankCrash
@@ -144,13 +141,10 @@ class TestResumeAcrossBackends:
         "backend",
         [
             SerialBackend(chunk_size=8),
-            ChunkedVectorBackend(chunk_size=8),
-            ProcessPoolBackend(max_workers=2, chunk_size=8),
-            ThreadPoolBackend(max_workers=2, chunk_size=8),
-            SharedMemoryBackend(max_workers=2, chunk_size=8),
             BatchedVectorBackend(chunk_size=8),
+            ProcessPoolBackend(max_workers=2, chunk_size=8),
         ],
-        ids=["serial", "chunked", "process", "thread", "shm", "batched"],
+        ids=["serial", "batched", "process"],
     )
     def test_serial_checkpoint_resumes_on_any_backend(
         self, engine_factory, backend

@@ -85,7 +85,7 @@ class TestBenchNested:
     def test_parser_defaults_to_nested_target(self):
         args = build_parser().parse_args(["bench"])
         assert args.target == "nested"
-        assert args.backends == "serial,process,chunked,batched,thread,shm"
+        assert args.backends == "serial,batched,process"
         assert args.against is None
         assert args.tolerance == 0.25
         assert args.chunk_size == 8
@@ -102,7 +102,7 @@ class TestBenchNested:
         json_path = tmp_path / "bench.json"
         code = main([
             "bench", "nested", "--smoke",
-            "--backends", "serial,chunked",
+            "--backends", "serial,batched",
             "--json-out", str(json_path),
         ])
         assert code == 0
