@@ -25,6 +25,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.exec.bench import BenchReport
 
 __all__ = ["main", "build_parser"]
 
@@ -76,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["nested", "proxy", "spot", "table1", "table2", "fig2",
                  "fig3", "fig4", "tradeoff", "all"],
         help="'nested' (default) times the Monte Carlo kernels across "
-             "execution backends; 'proxy' compares the exact/proxy/MLMC "
+             "execution backends; 'proxy' compares the exact/proxy "
              "SCR tiers; 'spot' traces the certified-vs-point "
              "cost-vs-P(deadline) frontier over seeded spot markets; "
              "the other targets regenerate paper tables/figures",
@@ -129,13 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 0.05)")
     bench.add_argument("--proxy-degree", type=int, default=2,
                        help="proxy target: polynomial degree of the LSMC "
-                            "proxy (default 3)")
-    bench.add_argument("--mlmc-levels", type=int, default=2,
-                       help="proxy target: MLMC correction levels "
-                            "(default 2)")
-    bench.add_argument("--mlmc-base-inner", type=int, default=4,
-                       help="proxy target: MLMC base-level inner paths "
-                            "(default 4)")
+                            "proxy (default 2)")
     bench.add_argument("--backend", default=None,
                        help="proxy target: execution backend spec "
                             "(default: the program default, batched)")
@@ -320,10 +318,47 @@ def _cmd_deploy(args: argparse.Namespace) -> int:
     return 0
 
 
+def _gate_against(
+    report: BenchReport,
+    baseline: dict[str, Any] | None,
+    args: argparse.Namespace,
+) -> int:
+    """Exit status of the ``--against`` throughput gate.
+
+    0 when no baseline was given or nothing regressed, 1 on a
+    regression, 2 when the baseline shares no (kernel, backend) pair
+    with ``report`` — a gate that compares nothing must not pass.
+    """
+    from repro.exec.bench import compare_against
+
+    if baseline is None:
+        return 0
+    try:
+        regressions = compare_against(
+            report.to_dict(), baseline, tolerance=args.tolerance
+        )
+    except ValueError as error:
+        print(f"repro bench: cannot gate against {args.against}: {error}",
+              file=sys.stderr)
+        return 2
+    for regression in regressions:
+        print(
+            "REGRESSION: {kernel}/{backend} fell to "
+            "{current_paths_per_second:.0f} paths/s from "
+            "{baseline_paths_per_second:.0f} "
+            "({drop:.0%} > {tolerance:.0%} tolerance)".format(**regression),
+            file=sys.stderr,
+        )
+    if not regressions:
+        print(f"(no throughput regression vs {args.against} "
+              f"at {args.tolerance:.0%} tolerance)")
+    return 1 if regressions else 0
+
+
 def _cmd_bench_nested(args: argparse.Namespace) -> int:
     import json
 
-    from repro.exec.bench import compare_against, run_nested_bench
+    from repro.exec.bench import run_nested_bench
 
     backends = [spec.strip() for spec in args.backends.split(",") if spec.strip()]
     if not backends:
@@ -366,29 +401,12 @@ def _cmd_bench_nested(args: argparse.Namespace) -> int:
         for kernel in report.kernels()
         if not report.identical_across_backends(kernel)
     ]
-    regressions = []
-    if baseline is not None:
-        regressions = compare_against(
-            report.to_dict(), baseline, tolerance=args.tolerance
-        )
-        for regression in regressions:
-            print(
-                "REGRESSION: {kernel}/{backend} fell to "
-                "{current_paths_per_second:.0f} paths/s from "
-                "{baseline_paths_per_second:.0f} "
-                "({drop:.0%} > {tolerance:.0%} tolerance)".format(**regression),
-                file=sys.stderr,
-            )
-        if not regressions:
-            print(f"(no throughput regression vs {args.against} "
-                  f"at {args.tolerance:.0%} tolerance)")
-    return 1 if mismatched or regressions else 0
+    return _gate_against(report, baseline, args) or (1 if mismatched else 0)
 
 
 def _cmd_bench_proxy(args: argparse.Namespace) -> int:
     import json
 
-    from repro.exec.bench import compare_against
     from repro.proxy.bench import run_proxy_bench
 
     # Load the regression baseline before write_json: --against may name
@@ -409,8 +427,6 @@ def _cmd_bench_proxy(args: argparse.Namespace) -> int:
         n_validation=args.validation,
         tolerance=args.gate_tolerance,
         proxy_degree=args.proxy_degree,
-        mlmc_levels=args.mlmc_levels,
-        mlmc_base_inner=args.mlmc_base_inner,
         seed=args.seed,
         smoke=args.smoke,
         backend=args.backend,
@@ -422,10 +438,7 @@ def _cmd_bench_proxy(args: argparse.Namespace) -> int:
         f"proxy {cfg['scr_proxy']:,.0f} "
         f"(rel err {cfg['proxy_rel_error']:.4%}, "
         f"{cfg['proxy_savings_factor']:.1f}x fewer exact inner sims, "
-        f"{cfg['proxy_refined']} tail scenario(s) refined) | "
-        f"mlmc {cfg['scr_mlmc']:,.0f} "
-        f"(rel err {cfg['mlmc_rel_error']:.4%}, "
-        f"{cfg['mlmc_savings_factor']:.1f}x)"
+        f"{cfg['proxy_refined']} tail scenario(s) refined)"
     )
     print(cfg["proxy_gate"])
     if cfg["proxy_fell_back"]:
@@ -440,29 +453,12 @@ def _cmd_bench_proxy(args: argparse.Namespace) -> int:
 
         Path(args.output).write_text(report.to_text() + "\n")
         print(f"(written to {args.output})")
-    regressions = []
-    if baseline is not None:
-        regressions = compare_against(
-            report.to_dict(), baseline, tolerance=args.tolerance
-        )
-        for regression in regressions:
-            print(
-                "REGRESSION: {kernel}/{backend} fell to "
-                "{current_paths_per_second:.0f} paths/s from "
-                "{baseline_paths_per_second:.0f} "
-                "({drop:.0%} > {tolerance:.0%} tolerance)".format(**regression),
-                file=sys.stderr,
-            )
-        if not regressions:
-            print(f"(no throughput regression vs {args.against} "
-                  f"at {args.tolerance:.0%} tolerance)")
-    return 1 if regressions else 0
+    return _gate_against(report, baseline, args)
 
 
 def _cmd_bench_spot(args: argparse.Namespace) -> int:
     import json
 
-    from repro.exec.bench import compare_against
     from repro.spot.bench import frontier_text, run_spot_bench
 
     try:
@@ -514,23 +510,7 @@ def _cmd_bench_spot(args: argparse.Namespace) -> int:
 
         Path(args.output).write_text(text + "\n")
         print(f"(written to {args.output})")
-    regressions = []
-    if baseline is not None:
-        regressions = compare_against(
-            report.to_dict(), baseline, tolerance=args.tolerance
-        )
-        for regression in regressions:
-            print(
-                "REGRESSION: {kernel}/{backend} fell to "
-                "{current_paths_per_second:.0f} paths/s from "
-                "{baseline_paths_per_second:.0f} "
-                "({drop:.0%} > {tolerance:.0%} tolerance)".format(**regression),
-                file=sys.stderr,
-            )
-        if not regressions:
-            print(f"(no throughput regression vs {args.against} "
-                  f"at {args.tolerance:.0%} tolerance)")
-    return 1 if regressions or shortfalls else 0
+    return _gate_against(report, baseline, args) or (1 if shortfalls else 0)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

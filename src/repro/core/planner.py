@@ -28,7 +28,6 @@ from repro.disar.eeb import CharacteristicParameters, SimulationSettings
 from repro.proxy.costs import (
     TIERS,
     exact_tier_inner_sims,
-    mlmc_tier_inner_sims,
     predicted_relative_error,
     proxy_tier_inner_sims,
 )
@@ -190,7 +189,7 @@ class TierPlanner:
     """Algorithm 1's tier axis: pick how *accurately* to simulate.
 
     The deploy selector picks *where* a run executes; this planner picks
-    *which SCR tier* it runs — ``exact``, ``proxy`` or ``mlmc`` — by
+    *which SCR tier* it runs — ``exact`` or ``proxy`` — by
     predicting both the execution time (via the tier's exact
     inner-simulation count, the unit runtime is proportional to) and the
     relative SCR error of every tier, then choosing the cheapest tier
@@ -207,8 +206,6 @@ class TierPlanner:
         reporting).
     gate_tolerance, n_train, n_validation:
         Proxy-tier budget assumed when pricing it.
-    mlmc_base_inner, mlmc_levels:
-        MLMC geometry assumed when pricing that tier.
     """
 
     def __init__(
@@ -218,8 +215,6 @@ class TierPlanner:
         gate_tolerance: float = 0.02,
         n_train: int = 64,
         n_validation: int = 32,
-        mlmc_base_inner: int = 4,
-        mlmc_levels: int = 2,
     ) -> None:
         if seconds_per_inner_sim <= 0.0:
             raise ValueError(
@@ -235,19 +230,11 @@ class TierPlanner:
         self.gate_tolerance = float(gate_tolerance)
         self.n_train = int(n_train)
         self.n_validation = int(n_validation)
-        self.mlmc_base_inner = int(mlmc_base_inner)
-        self.mlmc_levels = int(mlmc_levels)
 
     def _inner_sims(self, tier: str, n_outer: int, n_inner: int) -> int:
         if tier == "exact":
             return exact_tier_inner_sims(n_outer, n_inner)
-        if tier == "proxy":
-            return proxy_tier_inner_sims(
-                self.n_train, self.n_validation, n_inner
-            )
-        return mlmc_tier_inner_sims(
-            n_outer, self.mlmc_base_inner, self.mlmc_levels
-        )
+        return proxy_tier_inner_sims(self.n_train, self.n_validation, n_inner)
 
     def evaluate_all(
         self,
@@ -270,8 +257,6 @@ class TierPlanner:
                 n_outer,
                 n_inner,
                 gate_tolerance=self.gate_tolerance,
-                base_inner=self.mlmc_base_inner,
-                n_levels=self.mlmc_levels,
             )
             choices.append(
                 TierChoice(
@@ -314,9 +299,9 @@ class TierPlanner:
     ) -> SimulationSettings:
         """``settings`` re-targeted at the chosen tier.
 
-        The proxy budget and MLMC geometry the planner priced are
-        written into the settings, so the run executes exactly the
-        configuration that was costed.
+        The proxy budget the planner priced is written into the
+        settings, so the run executes exactly the configuration that was
+        costed.
         """
         if choice.tier == "proxy":
             return replace(
@@ -325,12 +310,5 @@ class TierPlanner:
                 proxy_train=self.n_train,
                 proxy_validation=self.n_validation,
                 proxy_tolerance=self.gate_tolerance,
-            )
-        if choice.tier == "mlmc":
-            return replace(
-                settings,
-                tier="mlmc",
-                mlmc_levels=self.mlmc_levels,
-                mlmc_base_inner=self.mlmc_base_inner,
             )
         return replace(settings, tier="exact")

@@ -33,7 +33,6 @@ from repro.montecarlo.nested import NestedMonteCarloEngine
 from repro.montecarlo.scr import SCRCalculator, SCRReport
 from repro.proxy.engine import ProxySCREngine
 from repro.proxy.gate import GateReport, ValidationGate
-from repro.proxy.mlmc import MLMCEngine
 
 if TYPE_CHECKING:  # avoid the repro.runtime -> repro.disar import cycle
     from repro.runtime.checkpoint import ChunkStore
@@ -93,10 +92,9 @@ class ALMEngine:
 
         ``chunk_store`` resumes the block's conditional-stage chunks from
         a :class:`~repro.runtime.checkpoint.RunCheckpoint` and stores the
-        freshly computed ones.  The proxy and MLMC tiers ignore
-        ``chunk_store``: their exact budgets are index-keyed subsets, so
-        caching them under exact-tier chunk ids would collide with a
-        full run's cache.
+        freshly computed ones.  The proxy tier ignores ``chunk_store``:
+        its exact budget is an index-keyed subset, so caching it under
+        exact-tier chunk ids would collide with a full run's cache.
         """
         self._check_type(eeb)
         start = time.perf_counter()
@@ -104,8 +102,6 @@ class ALMEngine:
         engine = self._build_engine(eeb)
         if settings.tier == "proxy":
             return self._process_proxy(eeb, engine, start)
-        if settings.tier == "mlmc":
-            return self._process_mlmc(eeb, engine, start)
         if settings.use_lsmc:
             lsmc = LSMCEngine(engine, degree=settings.lsmc_degree)
             result = lsmc.run(
@@ -148,7 +144,7 @@ class ALMEngine:
             elapsed_seconds=time.perf_counter() - start,
         )
 
-    # -- proxy / MLMC tiers ---------------------------------------------------
+    # -- proxy tier -----------------------------------------------------------
 
     def _process_proxy(
         self,
@@ -184,34 +180,6 @@ class ALMEngine:
             fell_back=result.fell_back,
         )
 
-    def _process_mlmc(
-        self,
-        eeb: ElementaryElaborationBlock,
-        engine: NestedMonteCarloEngine,
-        start: float,
-    ) -> ALMResult:
-        settings = eeb.settings
-        mlmc = MLMCEngine(
-            engine,
-            n_levels=settings.mlmc_levels,
-            base_inner=settings.mlmc_base_inner,
-            level=self._scr.level,
-        )
-        result = mlmc.run(
-            n_outer=settings.n_outer,
-            rng=settings.seed,
-            steps_per_year=settings.steps_per_year,
-            n_inner_reference=settings.n_inner,
-        )
-        return ALMResult(
-            eeb_id=eeb.eeb_id,
-            base_value=result.base_value,
-            outer_values=result.level0_values,
-            scr_report=result.to_scr_report(),
-            elapsed_seconds=time.perf_counter() - start,
-            tier="mlmc",
-        )
-
     # -- distributed execution ------------------------------------------------
 
     def process_distributed(
@@ -234,8 +202,8 @@ class ALMEngine:
         to :meth:`process` for any rank count.  Returns ``None`` on the
         other ranks.
 
-        The proxy and MLMC tiers spend so few exact inner simulations
-        that spreading them over ranks is not worth the coordination:
+        The proxy tier spends so few exact inner simulations that
+        spreading them over ranks is not worth the coordination:
         rank 0 computes the block sequentially (bit-equal to
         :meth:`process` by construction) and the other ranks return
         ``None`` immediately.

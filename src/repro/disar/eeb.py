@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.exec.backends import backend_from
 from repro.financial.contracts import PolicyContract
-from repro.proxy.costs import mlmc_tier_inner_sims, proxy_tier_inner_sims
+from repro.proxy.costs import proxy_tier_inner_sims
 from repro.financial.segregated_fund import SegregatedFund
 from repro.stochastic.scenario import RiskDriverSpec
 
@@ -48,18 +48,15 @@ def estimate_complexity(
     trajectory grid, each trajectory simulating every risk factor over
     the horizon and valuing every representative contract; LSMC replaces
     the full inner stage with a fixed calibration share, and the proxy
-    and MLMC tiers (:mod:`repro.proxy`) shrink the exact inner budget
-    further.  Type-A blocks only sweep the decrement tables.
+    tier (:mod:`repro.proxy`) shrinks the exact inner budget to its
+    training and validation scenarios.  Type-A blocks only sweep the
+    decrement tables.
     """
     if eeb_type is EEBType.ACTUARIAL:
         return float(params.n_contracts * params.max_horizon)
     if settings.tier == "proxy":
         inner_cost = proxy_tier_inner_sims(
             settings.proxy_train, settings.proxy_validation, settings.n_inner
-        ) / settings.n_outer
-    elif settings.tier == "mlmc":
-        inner_cost = mlmc_tier_inner_sims(
-            settings.n_outer, settings.mlmc_base_inner, settings.mlmc_levels
         ) / settings.n_outer
     elif settings.use_lsmc:
         inner_cost = (
@@ -144,8 +141,7 @@ class SimulationSettings:
     #: SCR tier (Algorithm 1's tier axis): ``"exact"`` runs the full
     #: nested / LSMC valuation per ``use_lsmc``; ``"proxy"`` trains an
     #: inner-loop replacement on a small exact budget behind a
-    #: validation gate (:mod:`repro.proxy`); ``"mlmc"`` telescopes the
-    #: loss quantile over inner resolutions.  Every tier is
+    #: validation gate (:mod:`repro.proxy`).  Both tiers are
     #: deterministic at a fixed ``(seed, budget, tier)``.
     tier: str = "exact"
     #: Proxy valuator kind: ``"lsmc"`` (polynomial regression) or
@@ -158,11 +154,6 @@ class SimulationSettings:
     #: Gate tolerance: maximum relative error of the held-out loss
     #: quantile before the tier falls back to exact valuation.
     proxy_tolerance: float = 0.02
-    #: MLMC correction levels on top of the base level.
-    mlmc_levels: int = 2
-    #: Inner paths of the MLMC base level; the finest resolution is
-    #: ``mlmc_base_inner * 2**mlmc_levels``.
-    mlmc_base_inner: int = 4
     #: Execution backend spec for the Monte Carlo engine — see
     #: :func:`repro.exec.backends.backend_from` (``"serial"``,
     #: ``"batched"``, ``"process[:N]"``; ``None`` is the batched
@@ -179,9 +170,9 @@ class SimulationSettings:
             raise ValueError("lsmc_degree must be >= 1")
         if self.steps_per_year < 1:
             raise ValueError("steps_per_year must be >= 1")
-        if self.tier not in ("exact", "proxy", "mlmc"):
+        if self.tier not in ("exact", "proxy"):
             raise ValueError(
-                f"tier must be 'exact', 'proxy' or 'mlmc', got {self.tier!r}"
+                f"tier must be 'exact' or 'proxy', got {self.tier!r}"
             )
         if self.proxy_kind not in ("lsmc", "mlp"):
             raise ValueError(
@@ -198,10 +189,6 @@ class SimulationSettings:
             )
         if self.proxy_tolerance <= 0.0:
             raise ValueError("proxy_tolerance must be positive")
-        if self.mlmc_levels < 1:
-            raise ValueError("mlmc_levels must be >= 1")
-        if self.mlmc_base_inner < 2:
-            raise ValueError("mlmc_base_inner must be >= 2")
         # Fail fast on unknown backend specs (raises ValueError).
         backend_from(self.backend)
 

@@ -245,7 +245,9 @@ def compare_against(
     timings, for pre-trajectory files) is compared kernel-by-kernel and
     backend-by-backend; a pair regresses when its paths/sec dropped by
     more than ``tolerance`` (fractional).  Pairs missing on either side
-    are skipped — adding or removing a backend is not a regression.
+    are skipped — adding or removing a backend is not a regression — but
+    a baseline sharing no pair at all raises :class:`ValueError`: a gate
+    that compares nothing must not pass.
     """
     if not 0.0 <= tolerance < 1.0:
         raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
@@ -253,11 +255,13 @@ def compare_against(
     reference = history[-1] if history else history_entry_from(baseline)
     measured = history_entry_from(current)
     regressions: list[dict[str, Any]] = []
+    shared = 0
     for kernel, backends in measured["kernels"].items():
         for backend, metrics in backends.items():
             before = reference["kernels"].get(kernel, {}).get(backend)
             if before is None:
                 continue
+            shared += 1
             old_rate = float(before["paths_per_second"])
             new_rate = float(metrics["paths_per_second"])
             if old_rate <= 0.0:
@@ -274,6 +278,10 @@ def compare_against(
                         "tolerance": tolerance,
                     }
                 )
+    if shared == 0:
+        raise ValueError(
+            "the baseline shares no (kernel, backend) pair with this run"
+        )
     return regressions
 
 

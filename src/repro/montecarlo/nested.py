@@ -409,22 +409,17 @@ class NestedMonteCarloEngine:
         values = self.backend.map_tasks(_value_chunk_task, self, payloads)
         return float(np.concatenate(values).mean())
 
-    def conditional_pathwise(
+    def conditional_value(
         self,
         state: MarketScenario,
         n_inner: int,
         rng: np.random.Generator,
         mortality: MortalityModel | None = None,
         lapse: LapseModel | None = None,
-    ) -> np.ndarray:
-        """Pathwise inner-sample values behind :meth:`conditional_value`.
+    ) -> tuple[float, float]:
+        """Risk-neutral value ``V_1`` given an outer terminal ``state``.
 
-        Returns the ``n_inner`` individual risk-neutral path values given
-        an outer terminal ``state`` (their mean is ``V_1``).  The MLMC
-        estimator consumes these directly: averaging the first half of
-        the *same* paths yields the coupled coarse estimator of a level
-        pair, so exposing the path values — rather than only their mean —
-        is what makes the level decomposition reproducible.
+        Returns ``(value, standard_error)``.
         """
         mortality = mortality if mortality is not None else self.mortality
         lapse = lapse if lapse is not None else self.lapse
@@ -440,24 +435,8 @@ class NestedMonteCarloEngine:
         )
         credited = self.fund.credited_returns(scenario)
         discount = scenario.discount_factors()
-        return self._portfolio_value(
+        values = self._portfolio_value(
             credited, discount, mortality, lapse, age_shift=1
-        )
-
-    def conditional_value(
-        self,
-        state: MarketScenario,
-        n_inner: int,
-        rng: np.random.Generator,
-        mortality: MortalityModel | None = None,
-        lapse: LapseModel | None = None,
-    ) -> tuple[float, float]:
-        """Risk-neutral value ``V_1`` given an outer terminal ``state``.
-
-        Returns ``(value, standard_error)``.
-        """
-        values = self.conditional_pathwise(
-            state, n_inner, rng, mortality=mortality, lapse=lapse
         )
         std_error = float(values.std(ddof=1) / np.sqrt(n_inner)) if n_inner > 1 else 0.0
         return float(values.mean()), std_error
@@ -554,8 +533,8 @@ class NestedMonteCarloEngine:
         them (``outer_rng`` for the outer paths, ``shock_rng`` for the
         actuarial shocks, ``inner_master`` for the scenario-index-keyed
         inner seed streams), so any caller spawning the same streams from
-        the same seed — the exact tier, the proxy tier, an MLMC level —
-        observes bit-identical outer state.
+        the same seed — the exact tier and the proxy tier — observes
+        bit-identical outer state.
         """
         outer = self._generator.generate(
             n_outer, 1.0, outer_rng, steps_per_year=steps_per_year, measure="P"

@@ -3,8 +3,7 @@
 The nested-MC inner loop dominates the cost of the whole pipeline.  This
 package replaces it with trained proxies, following the two families the
 related work establishes (Hejazi & Jackson's neural-network valuator and
-the Krah/Nikolic/Korn ML-LSMC regression family), plus a multilevel
-Monte Carlo estimator in the spirit of Alfonsi et al.:
+the Krah/Nikolic/Korn ML-LSMC regression family):
 
 - :mod:`repro.proxy.base` — the :class:`ProxyValuator` protocol and the
   ``proxy_from`` factory;
@@ -14,28 +13,23 @@ Monte Carlo estimator in the spirit of Alfonsi et al.:
   exact scenarios and falling back to exact valuation on breach;
 - :mod:`repro.proxy.engine` — :class:`ProxySCREngine`, the proxy *tier*:
   exact inner simulations on a small budget, proxy everywhere else;
-- :mod:`repro.proxy.mlmc` — :class:`MLMCEngine`, the multilevel tier;
 - :mod:`repro.proxy.costs` — tier cost/error models for the planner.
 
-Every tier is deterministic at fixed ``(seed, budget, tier)`` and
-bit-reproducible across execution backends, because all exact inner
-simulations ride the scenario-index-keyed seeding contract of
-:mod:`repro.montecarlo.nested`.
+The SCR tier axis is ``exact | proxy``.  Both tiers are deterministic
+at fixed ``(seed, budget, tier)`` and bit-reproducible across execution
+backends, because all exact inner simulations ride the
+scenario-index-keyed seeding contract of :mod:`repro.montecarlo.nested`.
 """
 
 from repro.proxy.base import ProxyValuator, proxy_from
 from repro.proxy.engine import ProxyResult, ProxySCREngine
 from repro.proxy.gate import GateReport, ValidationGate
 from repro.proxy.lsmc_proxy import LSMCProxyValuator
-from repro.proxy.mlmc import MLMCEngine, MLMCLevel, MLMCResult
 from repro.proxy.mlp_proxy import MLPProxyValuator
 
 __all__ = [
     "GateReport",
     "LSMCProxyValuator",
-    "MLMCEngine",
-    "MLMCLevel",
-    "MLMCResult",
     "MLPProxyValuator",
     "ProxyResult",
     "ProxySCREngine",

@@ -1,19 +1,22 @@
-"""``repro bench proxy`` — exact vs proxy vs MLMC on one portfolio.
+"""``repro bench proxy`` — exact vs proxy on one portfolio.
 
-Runs the three SCR tiers at the same ``(seed, n_outer, n_inner)`` on the
+Runs the two SCR tiers at the same ``(seed, n_outer, n_inner)`` on the
 reference portfolio and reports, per tier, the wall time, the exact
 inner-simulation count (the unit runtime is proportional to), the SCR
 and its relative error versus the exact tier.  The timings reuse the
 :class:`~repro.exec.bench.BenchReport` trajectory machinery, so the CI
 smoke job can gate on throughput drops with ``--against`` exactly like
-the backend benchmark does; kernels are named per tier
-(``scr_exact`` / ``scr_proxy`` / ``scr_mlmc``) and the ``speedup``
-column is quoted against the exact tier.
+the backend benchmark does; kernels are named per tier (``scr_exact`` /
+``scr_proxy``) and the ``speedup`` column is quoted against the exact
+tier.  Each tier is timed as the median of :data:`TIMING_REPEATS` runs,
+so the gate compares typical runs rather than one noisy sample.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
+from typing import Callable, TypeVar
 
 from repro.exec.bench import BenchReport, KernelTiming
 from repro.financial.contracts import ContractKind, PolicyContract
@@ -22,10 +25,28 @@ from repro.montecarlo.nested import NestedMonteCarloEngine
 from repro.montecarlo.scr import SCRCalculator
 from repro.proxy.engine import ProxySCREngine
 from repro.proxy.lsmc_proxy import LSMCProxyValuator
-from repro.proxy.mlmc import MLMCEngine
 from repro.stochastic.scenario import RiskDriverSpec
 
 __all__ = ["reference_portfolio", "run_proxy_bench"]
+
+#: Timed runs per tier; the report keeps the median wall time.
+TIMING_REPEATS = 3
+
+_T = TypeVar("_T")
+
+
+def _median_wall(run: Callable[[], _T]) -> tuple[float, _T]:
+    """``(median wall seconds, result)`` over :data:`TIMING_REPEATS` runs.
+
+    Every tier is deterministic at a fixed seed, so each repetition
+    returns the same result; the last one is kept.
+    """
+    walls = []
+    for _ in range(TIMING_REPEATS):
+        start = time.perf_counter()
+        result = run()
+        walls.append(time.perf_counter() - start)
+    return statistics.median(walls), result
 
 
 def reference_portfolio() -> tuple[
@@ -52,14 +73,12 @@ def run_proxy_bench(
     n_validation: int = 32,
     tolerance: float = 0.05,
     proxy_degree: int = 2,
-    mlmc_levels: int = 2,
-    mlmc_base_inner: int = 4,
     seed: int = 0,
     smoke: bool = False,
     backend: str | None = None,
     steps_per_year: int = 4,
 ) -> BenchReport:
-    """Time and cross-check the three SCR tiers.
+    """Time and cross-check the two SCR tiers.
 
     ``smoke=True`` shrinks the run to seconds (and loosens the gate
     tolerance accordingly — at small sizes the held-out quantile is
@@ -75,11 +94,11 @@ def run_proxy_bench(
     engine = NestedMonteCarloEngine(spec, fund, contracts, backend=backend)
     calculator = SCRCalculator()
 
-    start = time.perf_counter()
-    nested = engine.run(
-        n_outer, n_inner, rng=seed, steps_per_year=steps_per_year
+    wall_exact, nested = _median_wall(
+        lambda: engine.run(
+            n_outer, n_inner, rng=seed, steps_per_year=steps_per_year
+        )
     )
-    wall_exact = time.perf_counter() - start
     scr_exact = calculator.from_nested(nested).scr
 
     proxy_engine = ProxySCREngine(
@@ -90,25 +109,12 @@ def run_proxy_bench(
         tolerance=tolerance,
         proxy_seed=seed,
     )
-    start = time.perf_counter()
-    proxy = proxy_engine.run(
-        n_outer, n_inner, rng=seed, steps_per_year=steps_per_year
+    wall_proxy, proxy = _median_wall(
+        lambda: proxy_engine.run(
+            n_outer, n_inner, rng=seed, steps_per_year=steps_per_year
+        )
     )
-    wall_proxy = time.perf_counter() - start
     scr_proxy = calculator.from_nested(proxy.nested).scr
-
-    mlmc_engine = MLMCEngine(
-        engine, n_levels=mlmc_levels, base_inner=mlmc_base_inner
-    )
-    start = time.perf_counter()
-    mlmc = mlmc_engine.run(
-        n_outer,
-        rng=seed,
-        steps_per_year=steps_per_year,
-        n_inner_reference=n_inner,
-    )
-    wall_mlmc = time.perf_counter() - start
-    scr_mlmc = mlmc.scr
 
     def rel_error(scr: float) -> float:
         if scr_exact == 0.0:
@@ -123,19 +129,14 @@ def run_proxy_bench(
             "n_validation": n_validation,
             "tolerance": tolerance,
             "proxy_degree": proxy_degree,
-            "mlmc_levels": mlmc_levels,
-            "mlmc_base_inner": mlmc_base_inner,
             "seed": seed,
             "smoke": smoke,
             "backend": engine.backend.name,
             "steps_per_year": steps_per_year,
             "scr_exact": scr_exact,
             "scr_proxy": scr_proxy,
-            "scr_mlmc": scr_mlmc,
             "proxy_rel_error": rel_error(scr_proxy),
-            "mlmc_rel_error": rel_error(scr_mlmc),
             "proxy_savings_factor": proxy.savings_factor,
-            "mlmc_savings_factor": mlmc.savings_factor,
             "proxy_gate": proxy.gate.describe(),
             "proxy_fell_back": proxy.fell_back,
             "proxy_refined": int(len(proxy.refined_indices)),
@@ -149,13 +150,6 @@ def run_proxy_bench(
             proxy.n_exact_inner_sims,
             scr_proxy,
             wall_exact / wall_proxy if wall_proxy > 0.0 else None,
-        ),
-        (
-            "scr_mlmc",
-            wall_mlmc,
-            mlmc.n_exact_inner_sims,
-            scr_mlmc,
-            wall_exact / wall_mlmc if wall_mlmc > 0.0 else None,
         ),
     ]
     for kernel, wall, work, checksum, speedup in tiers:

@@ -10,18 +10,15 @@ can be recalibrated from measured runs.
 
 from __future__ import annotations
 
-from repro.proxy.mlmc import MIN_LEVEL_OUTER
-
 __all__ = [
     "TIERS",
     "exact_tier_inner_sims",
-    "mlmc_tier_inner_sims",
     "predicted_relative_error",
     "proxy_tier_inner_sims",
 ]
 
 #: The tier axis: every SCR computation runs as exactly one of these.
-TIERS = ("exact", "proxy", "mlmc")
+TIERS = ("exact", "proxy")
 
 #: Heuristic inner-bias coefficient: the relative SCR bias of a nested
 #: estimator decays like ``c / n_inner`` (Gordy & Juneja); this is the
@@ -43,33 +40,11 @@ def proxy_tier_inner_sims(n_train: int, n_validation: int, n_inner: int) -> int:
     return (int(n_train) + int(n_validation)) * int(n_inner)
 
 
-def mlmc_tier_inner_sims(
-    n_outer: int,
-    base_inner: int,
-    n_levels: int,
-    outer_decay: int = 2,
-) -> int:
-    """Inner simulations across all MLMC levels.
-
-    Level 0 runs the full outer set at ``base_inner``; correction level
-    ``l`` runs ``max(n_outer / outer_decay**l, MIN_LEVEL_OUTER)`` outer
-    scenarios at ``base_inner * 2**l`` inner paths (the coarse member
-    reuses the fine member's paths, so it is free).
-    """
-    total = int(n_outer) * int(base_inner)
-    for ell in range(1, int(n_levels) + 1):
-        n_level_outer = max(int(n_outer) // int(outer_decay) ** ell, MIN_LEVEL_OUTER)
-        total += n_level_outer * int(base_inner) * 2**ell
-    return total
-
-
 def predicted_relative_error(
     tier: str,
     n_outer: int,
     n_inner: int,
     gate_tolerance: float = 0.01,
-    base_inner: int = 4,
-    n_levels: int = 2,
     inner_bias_coeff: float = INNER_BIAS_COEFF,
     outer_noise_coeff: float = OUTER_NOISE_COEFF,
 ) -> float:
@@ -79,17 +54,11 @@ def predicted_relative_error(
       ``c_o / sqrt(n_outer)``;
     - ``proxy``: the gate tolerance (the gate *enforces* it against the
       exact tier on the same outer set, falling back on breach) plus
-      the shared outer noise;
-    - ``mlmc``: the finest level's inner bias plus outer noise — the
-      telescoped corrections push the bias from ``base_inner`` down to
-      ``base_inner * 2**n_levels``.
+      the shared outer noise.
     """
     if tier not in TIERS:
         raise ValueError(f"unknown tier {tier!r}; expected one of {TIERS}")
     outer_noise = outer_noise_coeff / float(n_outer) ** 0.5
     if tier == "exact":
         return inner_bias_coeff / float(n_inner) + outer_noise
-    if tier == "proxy":
-        return float(gate_tolerance) + outer_noise
-    finest = float(base_inner * 2**n_levels)
-    return inner_bias_coeff / finest + outer_noise
+    return float(gate_tolerance) + outer_noise

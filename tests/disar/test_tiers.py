@@ -29,8 +29,9 @@ def _tier_block(alm_block, **overrides):
 
 class TestSettingsValidation:
     def test_rejects_unknown_tier(self):
-        with pytest.raises(ValueError, match="tier"):
-            SimulationSettings(tier="warp")
+        for tier in ("warp", "mlmc"):
+            with pytest.raises(ValueError, match="tier"):
+                SimulationSettings(tier=tier)
 
     def test_rejects_unknown_proxy_kind(self):
         with pytest.raises(ValueError, match="proxy_kind"):
@@ -48,13 +49,9 @@ class TestSettingsValidation:
                 tier="proxy", n_outer=32, proxy_train=30, proxy_validation=10
             )
 
-    def test_rejects_bad_tolerance_and_mlmc_geometry(self):
+    def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             SimulationSettings(proxy_tolerance=0.0)
-        with pytest.raises(ValueError):
-            SimulationSettings(mlmc_levels=0)
-        with pytest.raises(ValueError):
-            SimulationSettings(mlmc_base_inner=1)
 
     def test_complexity_orders_the_tiers(self, alm_block):
         exact = _tier_block(alm_block, use_lsmc=False)
@@ -62,12 +59,7 @@ class TestSettingsValidation:
             alm_block, tier="proxy", use_lsmc=False,
             proxy_train=16, proxy_validation=8,
         )
-        mlmc = _tier_block(
-            alm_block, tier="mlmc", use_lsmc=False,
-            mlmc_levels=2, mlmc_base_inner=2,
-        )
-        assert proxy.complexity() < mlmc.complexity()
-        assert mlmc.complexity() < exact.complexity()
+        assert proxy.complexity() < exact.complexity()
 
 
 class TestALMTierDispatch:
@@ -99,17 +91,6 @@ class TestALMTierDispatch:
         result = ALMEngine().process(block)
         assert result.fell_back
         assert result.gate.breached
-
-    def test_mlmc_tier_result(self, alm_block):
-        block = _tier_block(
-            alm_block, tier="mlmc", use_lsmc=False,
-            mlmc_levels=1, mlmc_base_inner=2,
-        )
-        result = ALMEngine().process(block)
-        assert result.tier == "mlmc"
-        assert result.gate is None
-        assert not result.fell_back
-        assert np.isfinite(result.scr_report.scr)
 
     def test_exact_tier_is_the_default(self, alm_block):
         result = ALMEngine().process(alm_block)

@@ -141,13 +141,14 @@ class TestRunNestedBench:
 
 
 class TestCompareAgainst:
-    def _payload(self, rate):
+    def _payload(self, rate, backends=("batched",)):
         report = BenchReport(config={"n_outer": 4})
-        report.timings.append(
-            KernelTiming(
-                "nested", "batched", "batched", 8.0 / rate, 8, checksum=1.0
+        for backend in backends:
+            report.timings.append(
+                KernelTiming(
+                    "nested", backend, backend, 8.0 / rate, 8, checksum=1.0
+                )
             )
-        )
         return report.to_dict()
 
     def test_no_regression_within_tolerance(self):
@@ -178,8 +179,16 @@ class TestCompareAgainst:
 
     def test_missing_pairs_are_skipped(self):
         baseline = self._payload(100.0)
-        current = BenchReport(config={}).to_dict()
+        # One shared pair plus a backend the baseline never measured.
+        current = self._payload(100.0, backends=("batched", "process:2"))
         assert compare_against(current, baseline) == []
+        # ... but a baseline sharing no pair at all must not pass.
+        for disjoint in (
+            BenchReport(config={}).to_dict(),
+            self._payload(100.0, backends=("chunked",)),
+        ):
+            with pytest.raises(ValueError, match="shares no"):
+                compare_against(disjoint, baseline)
 
     def test_tolerance_validated(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,12 @@
 """Golden SCR corpus: pinned tier outputs on a reference case.
 
-The corpus pins the SCR of every tier (exact / proxy / MLMC) at two
-seeds on a small reference portfolio.  The exact tier is pinned *bitwise*
-(stored as ``float.hex``) — it is pure deterministic arithmetic, and any
-bit drift means the determinism contract broke.  The proxy and MLMC
-tiers are pinned within a tight relative tolerance: their values route
-through least-squares solves whose last bits may legitimately differ
-across BLAS builds.
+The corpus pins the SCR of every tier (exact / proxy) at two seeds on a
+small reference portfolio.  The exact tier is pinned *bitwise* (stored
+as ``float.hex``) — it is pure deterministic arithmetic, and any bit
+drift means the determinism contract broke.  The proxy tier is pinned
+within a tight relative tolerance: its values route through
+least-squares solves whose last bits may legitimately differ across
+BLAS builds.
 
 Regenerate with ``python -m tests.golden --update`` (and commit the
 diff); CI refuses a silently drifted corpus via
@@ -24,13 +24,12 @@ from repro.financial.segregated_fund import SegregatedFund
 from repro.montecarlo.nested import NestedMonteCarloEngine
 from repro.montecarlo.scr import SCRCalculator
 from repro.proxy.engine import ProxySCREngine
-from repro.proxy.mlmc import MLMCEngine
 from repro.stochastic.scenario import RiskDriverSpec
 
 GOLDEN_PATH = Path(__file__).with_name("golden_scr.json")
 
 #: The corpus grid.
-TIERS = ("exact", "proxy", "mlmc")
+TIERS = ("exact", "proxy")
 SEEDS = (0, 7)
 #: Backends every case must reproduce on (``--check`` and the pytest
 #: corpus test recompute each case per backend).
@@ -41,8 +40,8 @@ N_OUTER = 48
 N_INNER = 8
 STEPS_PER_YEAR = 2
 
-#: Bitwise for the exact tier; relative tolerance for the regression
-#: tiers (LAPACK least-squares last-bit drift across builds).
+#: Bitwise for the exact tier; relative tolerance for the proxy tier
+#: (LAPACK least-squares last-bit drift across builds).
 PROXY_REL_TOL = 1e-9
 
 
@@ -75,14 +74,6 @@ def compute_scr(tier: str, seed: int, backend: str | None = None) -> float:
             tail_z=6.0, tail_floor_multiple=8.0,
         ).run(N_OUTER, N_INNER, rng=seed, steps_per_year=STEPS_PER_YEAR)
         return float(SCRCalculator().from_nested(result.nested).scr)
-    if tier == "mlmc":
-        result = MLMCEngine(engine, n_levels=1, base_inner=4).run(
-            N_OUTER,
-            rng=seed,
-            steps_per_year=STEPS_PER_YEAR,
-            n_inner_reference=N_INNER,
-        )
-        return float(result.scr)
     raise ValueError(f"unknown tier {tier!r}")
 
 
@@ -120,7 +111,7 @@ def compare_case(
     """``None`` when ``observed`` matches the pinned case, else a message.
 
     The exact tier compares bit for bit via the stored hex encoding;
-    proxy and MLMC compare within :data:`PROXY_REL_TOL`.
+    the proxy tier compares within :data:`PROXY_REL_TOL`.
     """
     if expected["tier"] == "exact":
         if float(observed).hex() != expected["scr_hex"]:

@@ -22,8 +22,6 @@ class TestRunProxyBench:
             n_train=24,
             n_validation=12,
             tolerance=0.5,
-            mlmc_levels=1,
-            mlmc_base_inner=2,
             steps_per_year=2,
             seed=0,
         )
@@ -31,11 +29,8 @@ class TestRunProxyBench:
         for key in (
             "scr_exact",
             "scr_proxy",
-            "scr_mlmc",
             "proxy_rel_error",
-            "mlmc_rel_error",
             "proxy_savings_factor",
-            "mlmc_savings_factor",
             "proxy_gate",
             "proxy_fell_back",
             "proxy_refined",
@@ -43,7 +38,7 @@ class TestRunProxyBench:
             assert key in config, f"missing bench config key {key!r}"
         assert config["scr_exact"] > 0.0
         assert config["proxy_savings_factor"] > 1.0
-        assert set(report.kernels()) == {"scr_exact", "scr_proxy", "scr_mlmc"}
+        assert set(report.kernels()) == {"scr_exact", "scr_proxy"}
         for timing in report.timings:
             assert timing.wall_seconds > 0.0
             assert timing.work_units > 0

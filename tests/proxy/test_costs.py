@@ -7,11 +7,9 @@ from repro.proxy.costs import (
     OUTER_NOISE_COEFF,
     TIERS,
     exact_tier_inner_sims,
-    mlmc_tier_inner_sims,
     predicted_relative_error,
     proxy_tier_inner_sims,
 )
-from repro.proxy.mlmc import MIN_LEVEL_OUTER
 
 
 class TestInnerSimCounts:
@@ -20,17 +18,6 @@ class TestInnerSimCounts:
 
     def test_proxy_tier_charges_only_the_budget(self):
         assert proxy_tier_inner_sims(128, 32, 256) == 160 * 256
-
-    def test_mlmc_tier_sums_the_levels(self):
-        # 64 outer @ 4, then 32 @ 8, then 16 @ 16.
-        assert mlmc_tier_inner_sims(64, 4, 2) == 64 * 4 + 32 * 8 + 16 * 16
-
-    def test_mlmc_tier_respects_the_outer_floor(self):
-        # 16 // 4 = 4 < MIN_LEVEL_OUTER, so level 2 runs 8 outer.
-        assert (
-            mlmc_tier_inner_sims(16, 2, 2)
-            == 16 * 2 + 8 * 4 + MIN_LEVEL_OUTER * 8
-        )
 
     def test_proxy_tier_is_cheaper_than_exact_at_scale(self):
         exact = exact_tier_inner_sims(4096, 256)
@@ -51,19 +38,12 @@ class TestPredictedError:
         error = predicted_relative_error("proxy", 4096, 256, gate_tolerance=0.02)
         assert error == pytest.approx(0.02 + OUTER_NOISE_COEFF / 4096**0.5)
 
-    def test_mlmc_error_uses_the_finest_level(self):
-        error = predicted_relative_error(
-            "mlmc", 1024, 256, base_inner=4, n_levels=3
-        )
-        assert error == pytest.approx(
-            INNER_BIAS_COEFF / 32 + OUTER_NOISE_COEFF / 1024**0.5
-        )
-
     def test_rejects_unknown_tier(self):
-        with pytest.raises(ValueError, match="unknown tier"):
-            predicted_relative_error("quantum", 256, 16)
+        for tier in ("quantum", "mlmc"):
+            with pytest.raises(ValueError, match="unknown tier"):
+                predicted_relative_error(tier, 256, 16)
 
     def test_tier_axis_is_closed(self):
-        assert TIERS == ("exact", "proxy", "mlmc")
+        assert TIERS == ("exact", "proxy")
         for tier in TIERS:
             assert predicted_relative_error(tier, 1024, 64) > 0.0

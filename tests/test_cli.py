@@ -117,6 +117,23 @@ class TestBenchNested:
         code = main(["bench", "nested", "--smoke", "--backends", " , "])
         assert code == 2
 
+    def test_baseline_sharing_no_pair_exits_2(self, capsys, tmp_path):
+        from repro.exec.bench import BenchReport, KernelTiming
+
+        baseline = BenchReport(config={})
+        baseline.timings.append(
+            KernelTiming("nested", "chunked", "chunked", 1.0, 8, checksum=1.0)
+        )
+        baseline_path = tmp_path / "baseline.json"
+        baseline_path.write_text(json.dumps(baseline.to_dict()))
+        code = main([
+            "bench", "nested", "--smoke", "--backends", "serial",
+            "--json-out", str(tmp_path / "bench.json"),
+            "--against", str(baseline_path),
+        ])
+        assert code == 2
+        assert "shares no (kernel, backend) pair" in capsys.readouterr().err
+
 
 class TestChaos:
     def test_parser_defaults(self):
