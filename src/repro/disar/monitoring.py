@@ -24,7 +24,7 @@ class ProgressEvent:
     timestamp: float
     unit: int
     eeb_id: str
-    #: "started" | "completed" | "failed" | "requeued" | "resumed" | "rescued"
+    #: "started" | "completed" | "failed" | "requeued"
     status: str
     elapsed_seconds: float = 0.0
 
@@ -43,25 +43,12 @@ class ProgressMonitor:
         eeb_id: str,
         status: str,
         elapsed_seconds: float = 0.0,
-        timestamp: float | None = None,
     ) -> None:
-        """Append one event (called from worker threads).
-
-        ``timestamp`` lets virtual-clock callers (the deadline-guard
-        runtime) stamp events on the simulated timeline; by default the
-        wall clock is used.
-        """
-        if status not in (
-            "started",
-            "completed",
-            "failed",
-            "requeued",
-            "resumed",
-            "rescued",
-        ):
+        """Append one event (called from worker threads)."""
+        if status not in ("started", "completed", "failed", "requeued"):
             raise ValueError(f"unknown status {status!r}")
         event = ProgressEvent(
-            timestamp=time.perf_counter() if timestamp is None else timestamp,
+            timestamp=time.perf_counter(),
             unit=unit,
             eeb_id=eeb_id,
             status=status,
@@ -85,14 +72,6 @@ class ProgressMonitor:
     def requeued_count(self) -> int:
         """Blocks the master re-dispatched after a failed/lost round."""
         return sum(e.status == "requeued" for e in self.events())
-
-    def resumed_count(self) -> int:
-        """Blocks served from a checkpoint instead of recomputed."""
-        return sum(e.status == "resumed" for e in self.events())
-
-    def rescued_count(self) -> int:
-        """Mid-run elastic rescues (cluster re-provisions) recorded."""
-        return sum(e.status == "rescued" for e in self.events())
 
     def completion_fraction(self) -> float:
         """Share of blocks finished, in ``[0, 1]`` (``nan`` if unknown)."""

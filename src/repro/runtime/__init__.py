@@ -10,10 +10,9 @@ filter; this package makes it an *enforced runtime SLA*:
   a fault-free run thanks to the chunk-index-keyed seeding contract of
   :mod:`repro.exec`.
 - :mod:`repro.runtime.guard` — a
-  :class:`~repro.runtime.guard.DeadlineGuard` that consumes
-  :class:`~repro.disar.monitoring.ProgressMonitor` events, projects the
-  run's ETA and flags a breach when the projection drifts past
-  ``Tmax x headroom``.
+  :class:`~repro.runtime.guard.DeadlineGuard` that reads the run's
+  elapsed time and completed fraction, projects its ETA and flags a
+  breach when the projection drifts past ``Tmax x headroom``.
 - :mod:`repro.runtime.breaker` — a
   :class:`~repro.runtime.breaker.CircuitBreaker` with bounded retry,
   exponential backoff and seeded jitter around the provider's control

@@ -1,22 +1,18 @@
 """Deadline guard: runtime ETA projection against ``Tmax``.
 
 Algorithm 1 filters configurations by *predicted* time, but nothing in
-the PR 3 system reacts when the actual run drifts — a straggler VM can
+the planner reacts when the actual run drifts — a straggler VM can
 blow the Solvency II deadline with no reaction.  The
-:class:`DeadlineGuard` closes that loop: it consumes the
-:class:`~repro.disar.monitoring.ProgressMonitor` events a run emits,
-projects the total duration linearly from the completed fraction, and
-flags a **breach** as soon as the projection exceeds
-``tmax_seconds x headroom`` — early enough for an elastic rescue to
-re-provision and still finish in time.
+:class:`DeadlineGuard` closes that loop: at every progress boundary of
+a run it takes the elapsed time and the completed fraction, projects
+the total duration linearly, and flags a **breach** as soon as the
+projection exceeds ``tmax_seconds x headroom`` — early enough for an
+elastic rescue to re-provision and still finish in time.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-from repro.disar.monitoring import ProgressMonitor
 
 __all__ = ["GuardDecision", "DeadlineGuard"]
 
@@ -111,22 +107,6 @@ class DeadlineGuard:
         )
         self.decisions.append(decision)
         return decision
-
-    def check(
-        self,
-        monitor: ProgressMonitor,
-        now: float,
-        started_at: float = 0.0,
-    ) -> GuardDecision:
-        """Evaluate the deadline from a run's progress monitor.
-
-        ``now`` and ``started_at`` are virtual-clock times; the completed
-        fraction comes from the monitor's events.
-        """
-        fraction = monitor.completion_fraction()
-        if math.isnan(fraction):  # no total registered yet
-            fraction = 0.0
-        return self.evaluate(max(now - started_at, 0.0), fraction)
 
     @property
     def n_breaches(self) -> int:

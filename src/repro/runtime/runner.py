@@ -7,9 +7,9 @@
    the provider keeps failing launches the breaker opens and the runner
    falls back to the next-cheapest feasible configuration;
 2. the campaign's timeline is simulated segment by segment on the
-   virtual clock (spot reclaims and straggler VMs degrade it), each
-   segment recorded on a :class:`~repro.disar.monitoring.ProgressMonitor`
-   the :class:`DeadlineGuard` consumes;
+   virtual clock (spot reclaims and straggler VMs degrade it), and the
+   :class:`DeadlineGuard` projects the run's ETA at every segment
+   boundary;
 3. when the guard projects a deadline breach, the runner performs the
    **elastic rescue**: terminate the limping cluster (its bill becomes
    ``wasted_cost_usd``), re-run Algorithm 1 over the *remaining* work,
@@ -24,17 +24,18 @@ pace — and the penalty disappears once a rescue replaces the fleet.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from repro.cloud.cluster import ClusterHandle, StarClusterManager
 from repro.cloud.instance_types import INSTANCE_CATALOG
 from repro.cloud.pricing import BillingRecord
-from repro.cloud.provider import ProviderError
+from repro.cloud.provider import ProviderError, SimulatedInstance
 from repro.cloud.spot import NodeReclaim
+from repro.core.deploy import TransparentDeploySystem
 from repro.core.selection import ConfigurationSelector, DeployChoice
 from repro.disar.eeb import CharacteristicParameters, ElementaryElaborationBlock
 from repro.disar.master import DisarMasterService, ElaborationReport
-from repro.disar.monitoring import ProgressMonitor
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
 from repro.runtime.breaker import (
@@ -46,6 +47,16 @@ from repro.runtime.checkpoint import RunCheckpoint
 from repro.runtime.guard import DeadlineGuard
 
 __all__ = ["GuardedRunResult", "DeadlineGuardedRunner"]
+
+#: The spot-rescue policy's safety bar for *heuristic* re-plans (no
+#: fitted predictor): a rescue of a spot fleet buys replacement spot
+#: capacity only when each node's probability of surviving the
+#: remaining deadline budget is at least this value; otherwise the
+#: rescue falls back to on-demand — a breached deadline is no time to
+#: gamble on the same market again.  (Predictor-backed re-plans price
+#: the risk instead, via the survival premium in
+#: :meth:`DeadlineGuardedRunner._spot_priced`.)
+SPOT_RESCUE_SURVIVAL = 0.7
 
 
 @dataclass
@@ -68,7 +79,6 @@ class GuardedRunResult:
     n_fallback_launches: int = 0
     rescue_choices: list[DeployChoice] = field(default_factory=list)
     guard: DeadlineGuard | None = None
-    monitor: ProgressMonitor | None = None
     #: Spot VMs reclaimed mid-run (scheduled events + market-driven).
     n_reclaims: int = 0
     #: Reclaim storms that tripped during the run (per-market bursts).
@@ -113,20 +123,6 @@ class GuardedRunResult:
         return text
 
 
-def _aggregate_parameters(
-    blocks: list[ElementaryElaborationBlock],
-) -> CharacteristicParameters:
-    """Campaign-level characteristic parameters (contract counts add up,
-    the per-trajectory bounds take the maximum)."""
-    per_block = [block.characteristic_parameters for block in blocks]
-    return CharacteristicParameters(
-        n_contracts=sum(p.n_contracts for p in per_block),
-        max_horizon=max(p.max_horizon for p in per_block),
-        n_fund_assets=max(p.n_fund_assets for p in per_block),
-        n_risk_factors=max(p.n_risk_factors for p in per_block),
-    )
-
-
 class DeadlineGuardedRunner:
     """Runs campaigns under an enforced deadline SLA.
 
@@ -162,15 +158,6 @@ class DeadlineGuardedRunner:
         projects a breach, and bars the rescue re-plan from buying
         replacement capacity in that family while the storm cooldown
         holds.
-    spot_rescue_survival:
-        The spot-rescue policy's safety bar for *heuristic* re-plans
-        (no fitted predictor): a rescue of a spot fleet buys replacement
-        spot capacity only when each node's probability of surviving
-        the remaining deadline budget is at least this value; otherwise
-        the rescue falls back to on-demand — a breached deadline is no
-        time to gamble on the same market again.  (Predictor-backed
-        re-plans price the risk instead, via the survival premium in
-        :meth:`_spot_priced`.)
     """
 
     def __init__(
@@ -184,17 +171,11 @@ class DeadlineGuardedRunner:
         n_segments: int = 8,
         max_rescues: int = 1,
         storm: ReclaimStormDetector | None = None,
-        spot_rescue_survival: float = 0.7,
     ) -> None:
         if n_segments < 2:
             raise ValueError(f"n_segments must be >= 2, got {n_segments}")
         if max_rescues < 0:
             raise ValueError(f"max_rescues must be >= 0, got {max_rescues}")
-        if not 0.0 <= spot_rescue_survival <= 1.0:
-            raise ValueError(
-                f"spot_rescue_survival must be in [0, 1], got "
-                f"{spot_rescue_survival}"
-            )
         self.manager = manager
         self.selector = selector
         self.checkpoint = checkpoint if checkpoint is not None else RunCheckpoint()
@@ -212,7 +193,6 @@ class DeadlineGuardedRunner:
         self.min_fraction = float(min_fraction)
         self.n_segments = int(n_segments)
         self.max_rescues = int(max_rescues)
-        self.spot_rescue_survival = float(spot_rescue_survival)
 
     # -- configuration ranking -----------------------------------------------
 
@@ -263,11 +243,11 @@ class DeadlineGuardedRunner:
         A non-spot fleet is rescued in its own market.  A spot fleet is
         re-bought on the spot market only when each replacement node's
         probability of surviving the remaining deadline budget clears
-        ``spot_rescue_survival``; a hostile quote (or a storm, or no
-        market at all) demotes the rescue to on-demand — matching the
-        pessimism of the certification MDP's ``mixed`` rung, which
-        assumes rescues reach for reclaim-free capacity when the market
-        is the reason the fleet needed rescuing.
+        :data:`SPOT_RESCUE_SURVIVAL`; a hostile quote (or a storm, or no
+        market at all) demotes the rescue to on-demand.  This on-demand
+        rescue is the action the certification MDP's ``spot`` rung
+        counts on when the market is the reason the fleet needed
+        rescuing.
         """
         if current.market != "spot":
             return current.market
@@ -279,7 +259,7 @@ class DeadlineGuardedRunner:
             self.manager.provider.clock.now,
             max(horizon_seconds, 0.0),
         )
-        if survival >= self.spot_rescue_survival:
+        if survival >= SPOT_RESCUE_SURVIVAL:
             return "spot"
         return "on_demand"
 
@@ -495,6 +475,37 @@ class DeadlineGuardedRunner:
         )
         return list(self.manager.sample_market_reclaims(handle, horizon))
 
+    def _reclaimed_nodes(
+        self,
+        handle: ClusterHandle,
+        injector: FaultInjector | None,
+        fraction: float,
+        market_reclaims: list[NodeReclaim],
+    ) -> Iterator[SimulatedInstance]:
+        """Nodes of ``handle`` lost at or before this segment boundary:
+        first the fault schedule's spot terminations staged at or before
+        ``fraction``, then the market reclaims that landed inside the
+        segment (consumed from ``market_reclaims``).  The fleet's last
+        running node is never taken.  Each node must be terminated
+        before the next one is drawn."""
+        while injector is not None:
+            alive = [i for i in handle.instances if i.is_running]
+            if len(alive) <= 1:
+                return
+            spot = injector.take_spot_termination(at_or_before=fraction)
+            if spot is None:
+                break
+            yield alive[spot.node_index % len(alive)]
+        clock = self.manager.provider.clock
+        while market_reclaims:
+            if sum(i.is_running for i in handle.instances) <= 1:
+                return
+            if market_reclaims[0].at_seconds > clock.now:
+                break
+            victim = handle.instances[market_reclaims.pop(0).node_index]
+            if victim.is_running:
+                yield victim
+
     # -- the guarded run -----------------------------------------------------
 
     def run(
@@ -514,11 +525,10 @@ class DeadlineGuardedRunner:
             raise ValueError(f"tmax_seconds must be positive, got {tmax_seconds}")
         provider = self.manager.provider
         performance = self.manager.performance
-        params = _aggregate_parameters(blocks)
+        params = TransparentDeploySystem.aggregate_parameters(blocks)
         guard = DeadlineGuard(
             tmax_seconds, headroom=self.headroom, min_fraction=self.min_fraction
         )
-        monitor = ProgressMonitor(total_blocks=self.n_segments)
         injector = (
             FaultInjector(fault_schedule) if fault_schedule is not None else None
         )
@@ -567,92 +577,48 @@ class DeadlineGuardedRunner:
             storm_rescue = False
             segment = 0
             while segment < self.n_segments:
-                alive = [i for i in handle.instances if i.is_running]
-                seg_seconds = seg_work * rate * slow_penalty
-                provider.clock.advance(seg_seconds)
+                provider.clock.advance(seg_work * rate * slow_penalty)
                 segment += 1
                 fraction = segment / self.n_segments
-                monitor.record(
-                    0,
-                    f"timing/segment-{segment}",
-                    "completed",
-                    elapsed_seconds=seg_seconds,
-                    timestamp=provider.clock.now,
-                )
                 remaining_work = work - segment * seg_work
                 if remaining_work <= 0.0:
                     break
-                # Spot reclaims staged at or before this boundary.
-                while injector is not None and len(alive) > 1:
-                    spot = injector.take_spot_termination(at_or_before=fraction)
-                    if spot is None:
-                        break
-                    victim = alive[spot.node_index % len(alive)]
+                for victim in self._reclaimed_nodes(
+                    handle, injector, fraction, market_reclaims
+                ):
                     provider.terminate([victim])
-                    alive = [i for i in handle.instances if i.is_running]
                     n_faults += 1
                     n_reclaims += 1
                     tripped = self.storm.record_reclaim(
                         current.instance_type.family
                     )
+                    # A storm calls for a rescue only on a spot fleet
+                    # (the market reclaims nothing else).
                     storm_rescue |= tripped and handle.market == "spot"
                     rate = (
                         performance.measured_seconds(
                             remaining_work,
                             current.instance_type,
-                            len(alive),
+                            sum(i.is_running for i in handle.instances),
                             self.manager._rng,
                         )
                         / remaining_work
                     )
-                # Market-driven reclaims that landed inside the segment.
-                while market_reclaims and len(alive) > 1:
-                    reclaim = market_reclaims[0]
-                    if reclaim.at_seconds > provider.clock.now:
-                        break
-                    market_reclaims.pop(0)
-                    victim = handle.instances[reclaim.node_index]
-                    if not victim.is_running:
-                        continue
-                    provider.terminate([victim])
-                    alive = [i for i in handle.instances if i.is_running]
-                    n_faults += 1
-                    n_reclaims += 1
-                    tripped = self.storm.record_reclaim(
-                        current.instance_type.family
-                    )
-                    storm_rescue |= tripped
-                    rate = (
-                        performance.measured_seconds(
-                            remaining_work,
-                            current.instance_type,
-                            len(alive),
-                            self.manager._rng,
-                        )
-                        / remaining_work
-                    )
-                decision = guard.check(
-                    monitor, now=provider.clock.now, started_at=started_at
+                decision = guard.evaluate(
+                    provider.clock.now - started_at, fraction
                 )
                 if (
                     decision.breached or storm_rescue
                 ) and n_rescues < self.max_rescues:
                     n_rescues += 1
-                    monitor.record(
-                        -1,
-                        "campaign",
-                        "rescued",
-                        timestamp=provider.clock.now,
-                    )
                     bill = self.manager.terminate_cluster(handle)
                     wasted_cost += bill.cost_usd
-                    elapsed = provider.clock.now - started_at
                     rescue = self._replan(
                         current,
                         params,
                         remaining_fraction=remaining_work / work,
                         remaining_budget_seconds=max(
-                            tmax_seconds - elapsed, 1.0
+                            tmax_seconds - decision.elapsed_seconds, 1.0
                         ),
                     )
                     rescue_fallbacks = self._fallback_candidates(
@@ -712,7 +678,6 @@ class DeadlineGuardedRunner:
             n_fallback_launches=n_fallbacks,
             rescue_choices=rescue_choices,
             guard=guard,
-            monitor=monitor,
             n_reclaims=n_reclaims,
             n_storms=self.storm.n_storms - storms_before,
         )

@@ -15,8 +15,8 @@ the Solvency II deadline?  This package answers it by model checking:
 - :mod:`repro.spot.verify` — the verification gate.
   :class:`~repro.spot.verify.SpotPlanVerifier` refuses to commit a fleet
   whose best policy cannot certify ``P(deadline met) >= p`` and
-  escalates along the ladder pure-spot -> mixed (spot with on-demand
-  rescue) -> pure on-demand, returning a
+  escalates along the ladder spot (with every rescue the guard has,
+  on-demand included) -> pure on-demand, returning a
   :class:`~repro.spot.verify.DeadlineCertificate` either way.
 - :mod:`repro.spot.bench` — ``repro bench spot``: a seeded sweep of
   certified versus point-prediction spot plans producing the

@@ -7,9 +7,10 @@ stochastic spot markets:
   prediction, commit the spot fleet, never look back (no guard, no
   certification);
 - **certified** — the plan goes through
-  :class:`~repro.spot.verify.SpotPlanVerifier` first (escalating to
-  mixed or on-demand until ``P(deadline met) >= p`` certifies) and then
-  runs under the deadline-guard runtime.
+  :class:`~repro.spot.verify.SpotPlanVerifier` first (demoted to
+  on-demand unless the guarded spot run certifies
+  ``P(deadline met) >= p``) and then runs under the deadline-guard
+  runtime.
 
 Each sweep run draws a fresh market seed, so the reclaim schedules vary
 while the workload and deadline stay fixed; compliance is the fraction

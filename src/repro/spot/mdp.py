@@ -51,9 +51,9 @@ from repro.cloud.spot import SpotMarketModel
 
 __all__ = ["ACTIONS", "DeadlineMdp", "MdpSolution"]
 
-#: Every action the policy may take at a step boundary.  The verifier's
-#: escalation rungs restrict this set (pure-spot plans may not rescue to
-#: on-demand; on-demand plans never rescue at all).
+#: Every action the policy may take at a step boundary — the same
+#: options the deadline-guarded runner has.  On-demand plans never
+#: rescue, so only spot plans use them.
 ACTIONS: tuple[str, ...] = ("continue", "rescue_spot", "rescue_ondemand")
 
 #: Fleet-state index of the on-demand cluster; spot fleets with ``k``
@@ -65,8 +65,8 @@ _ON_DEMAND = 0
 class MdpSolution:
     """Exact value-iteration output for one plan."""
 
-    #: ``P(deadline met)`` under the optimal policy over the allowed
-    #: actions — the figure a certificate quotes.
+    #: ``P(deadline met)`` under the optimal policy over
+    #: :data:`ACTIONS` — the figure a certificate quotes.
     p_deadline: float
     #: ``P(deadline met)`` when the policy may only ``continue`` — the
     #: point-prediction strategy that commits the fleet and hopes.
@@ -112,10 +112,8 @@ class DeadlineMdp:
         Virtual-clock time the fleet launches at; positions the
         certification window on the market's price path.
     spot:
-        Whether the initial fleet is bought on the spot market.
-    allow_spot_rescue / allow_ondemand_rescue:
-        The action set of the policy being certified (the verifier's
-        escalation rungs).  Ignored for on-demand plans.
+        Whether the initial fleet is bought on the spot market.  A spot
+        plan's policy may take every one of :data:`ACTIONS`.
     """
 
     def __init__(
@@ -130,8 +128,6 @@ class DeadlineMdp:
         n_time_steps: int = 24,
         n_work_buckets: int = 24,
         spot: bool = True,
-        allow_spot_rescue: bool = True,
-        allow_ondemand_rescue: bool = True,
     ) -> None:
         if n_nodes < 1:
             raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
@@ -161,8 +157,6 @@ class DeadlineMdp:
         self.n_time_steps = int(n_time_steps)
         self.n_work_buckets = int(n_work_buckets)
         self.spot = bool(spot)
-        self.allow_spot_rescue = bool(allow_spot_rescue)
-        self.allow_ondemand_rescue = bool(allow_ondemand_rescue)
         self.step_seconds = self.tmax_seconds / self.n_time_steps
         self._bucket_work = self.work_units / self.n_work_buckets
 
@@ -278,15 +272,14 @@ class DeadlineMdp:
                         cont_nr += pmf[j] * self._interp(nxt_nr, r_j, j)
                     best = cont
                     best_action = "continue"
-                    if self.allow_spot_rescue:
-                        # One lost step, then a fresh full spot fleet.
-                        rescue = nxt[w][self.n_nodes]
-                        if rescue > best:
-                            best, best_action = rescue, "rescue_spot"
-                    if self.allow_ondemand_rescue:
-                        rescue = nxt[w][_ON_DEMAND]
-                        if rescue > best:
-                            best, best_action = rescue, "rescue_ondemand"
+                    # A rescue loses one step, then runs on a fresh full
+                    # spot fleet or on on-demand capacity.
+                    rescue = nxt[w][self.n_nodes]
+                    if rescue > best:
+                        best, best_action = rescue, "rescue_spot"
+                    rescue = nxt[w][_ON_DEMAND]
+                    if rescue > best:
+                        best, best_action = rescue, "rescue_ondemand"
                     value[w][k] = best
                     value_nr[w][k] = cont_nr
                     if (

@@ -5,13 +5,16 @@ provisioning call.  Before a spot fleet is committed it model-checks the
 guarded run (:class:`repro.spot.mdp.DeadlineMdp`) and walks the
 escalation ladder until a rung certifies ``P(deadline met) >= p``:
 
-1. **spot** — the plan as chosen: spot fleet, rescues may only buy spot
-   capacity (cheapest; fully exposed to the market);
-2. **mixed** — the same spot fleet, but the policy may fall back to
-   on-demand capacity mid-run (what the deadline-guard runtime actually
-   does on a reclaim storm);
-3. **on_demand** — the plan demoted to pure on-demand: deterministic,
+1. **spot** — the plan as chosen: a spot fleet whose policy has every
+   action the deadline-guarded runner has, i.e. mid-run rescue onto a
+   fresh spot fleet or onto on-demand capacity (cheapest; exposed to
+   the market until a rescue);
+2. **on_demand** — the plan demoted to pure on-demand: deterministic,
    reclaim-free, and the most expensive rung.
+
+The certificate thus describes the run that actually executes: a spot
+plan always runs under the guard, which can always rescue onto
+on-demand capacity.
 
 The hazard the MDP certifies against is *calibrated from experience*
 when a knowledge base is supplied: observed ``(reclaims, exposure)``
@@ -61,8 +64,7 @@ class DeadlineCertificate:
     p_no_rescue: float
     #: The probability the caller demanded.
     target: float
-    #: Rung the ladder stopped at: ``"spot"``, ``"mixed"`` or
-    #: ``"on_demand"``.
+    #: Rung the ladder stopped at: ``"spot"`` or ``"on_demand"``.
     escalation: str
     #: Every rung evaluated, in order, as ``(rung, p_deadline)`` —
     #: the audit trail of the refusals.
@@ -174,7 +176,6 @@ class SpotPlanVerifier:
         work_units: float,
         tmax_seconds: float,
         spot: bool,
-        allow_ondemand_rescue: bool,
     ) -> DeadlineMdp:
         return DeadlineMdp(
             performance=self.manager.performance,
@@ -187,8 +188,6 @@ class SpotPlanVerifier:
             n_time_steps=self.n_time_steps,
             n_work_buckets=self.n_work_buckets,
             spot=spot,
-            allow_spot_rescue=spot,
-            allow_ondemand_rescue=allow_ondemand_rescue,
         )
 
     def verify(
@@ -214,76 +213,41 @@ class SpotPlanVerifier:
         requested = choice.market
 
         ladder: list[tuple[str, float]] = []
+        rung = "on_demand"
         if choice.market == "spot" and market is not None:
-            sol_spot = self._mdp(
-                market, choice, work, tmax_seconds,
-                spot=True, allow_ondemand_rescue=False,
+            solution = self._mdp(
+                market, choice, work, tmax_seconds, spot=True
             ).solve()
-            ladder.append(("spot", sol_spot.p_deadline))
-            p_no_rescue = sol_spot.p_no_rescue
-            if sol_spot.p_deadline >= target:
-                return VerifiedPlan(
-                    choice=choice,
-                    certificate=DeadlineCertificate(
-                        p_deadline=sol_spot.p_deadline,
-                        p_no_rescue=p_no_rescue,
-                        target=target,
-                        escalation="spot",
-                        ladder=tuple(ladder),
-                        base_hazard_per_hour=hazard,
-                        n_states=sol_spot.n_states,
-                    ),
-                    requested_market=requested,
-                )
-            sol_mixed = self._mdp(
-                market, choice, work, tmax_seconds,
-                spot=True, allow_ondemand_rescue=True,
+            ladder.append(("spot", solution.p_deadline))
+            p_no_rescue = solution.p_no_rescue
+            if solution.p_deadline >= target:
+                rung = "spot"
+            else:
+                choice = replace(choice, market="on_demand")
+        if rung == "on_demand":
+            solution = self._mdp(
+                market, choice, work, tmax_seconds, spot=False
             ).solve()
-            ladder.append(("mixed", sol_mixed.p_deadline))
-            if sol_mixed.p_deadline >= target:
-                # The fleet stays spot; the guard's on-demand rescue
-                # path is what the certificate leans on.
-                return VerifiedPlan(
-                    choice=choice,
-                    certificate=DeadlineCertificate(
-                        p_deadline=sol_mixed.p_deadline,
-                        p_no_rescue=p_no_rescue,
-                        target=target,
-                        escalation="mixed",
-                        ladder=tuple(ladder),
-                        base_hazard_per_hour=hazard,
-                        n_states=sol_mixed.n_states,
-                    ),
-                    requested_market=requested,
+            if not ladder:
+                # The plan never was a spot plan: its own (deterministic)
+                # value doubles as the no-rescue figure.
+                p_no_rescue = solution.p_no_rescue
+            ladder.append(("on_demand", solution.p_deadline))
+            if self.strict and solution.p_deadline < target:
+                raise CertificationError(
+                    f"no rung certifies P(deadline met) >= {target}: "
+                    + ", ".join(f"{name}={p:.4f}" for name, p in ladder)
                 )
-            choice = replace(choice, market="on_demand")
-        else:
-            p_no_rescue = float("nan")
-
-        sol_od = self._mdp(
-            market, choice, work, tmax_seconds,
-            spot=False, allow_ondemand_rescue=False,
-        ).solve()
-        ladder.append(("on_demand", sol_od.p_deadline))
-        if not ladder[:-1]:
-            # The plan never was a spot plan: its own (deterministic)
-            # value doubles as the no-rescue figure.
-            p_no_rescue = sol_od.p_no_rescue
-        if self.strict and sol_od.p_deadline < target:
-            raise CertificationError(
-                f"no rung certifies P(deadline met) >= {target}: "
-                + ", ".join(f"{name}={p:.4f}" for name, p in ladder)
-            )
         return VerifiedPlan(
             choice=choice,
             certificate=DeadlineCertificate(
-                p_deadline=sol_od.p_deadline,
+                p_deadline=solution.p_deadline,
                 p_no_rescue=p_no_rescue,
                 target=target,
-                escalation="on_demand",
+                escalation=rung,
                 ladder=tuple(ladder),
                 base_hazard_per_hour=hazard,
-                n_states=sol_od.n_states,
+                n_states=solution.n_states,
             ),
             requested_market=requested,
         )

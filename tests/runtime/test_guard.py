@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.disar.monitoring import ProgressMonitor
 from repro.runtime import DeadlineGuard
 
 
@@ -74,25 +73,3 @@ class TestEvaluate:
         assert guard.n_breaches == 2
         assert len(guard.decisions) == 3
 
-
-class TestCheckAgainstMonitor:
-    def test_no_registered_total_is_treated_as_no_progress(self):
-        guard = DeadlineGuard(1000.0)
-        decision = guard.check(ProgressMonitor(), now=500.0, started_at=0.0)
-        assert not decision.breached
-        assert decision.completed_fraction == 0.0
-
-    def test_monitor_progress_drives_the_decision(self):
-        monitor = ProgressMonitor(total_blocks=4)
-        monitor.record(0, "segment-1", "completed", timestamp=600.0)
-        guard = DeadlineGuard(1000.0, headroom=0.9)
-        decision = guard.check(monitor, now=600.0, started_at=0.0)
-        # 25% done in 600s projects 2400s against a 900s budget.
-        assert decision.breached
-        assert decision.completed_fraction == 0.25
-        assert decision.projected_seconds == 2400.0
-
-    def test_clock_skew_clamped_to_zero_elapsed(self):
-        guard = DeadlineGuard(1000.0)
-        decision = guard.check(ProgressMonitor(), now=10.0, started_at=50.0)
-        assert decision.elapsed_seconds == 0.0

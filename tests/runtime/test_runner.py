@@ -98,8 +98,6 @@ class TestElasticRescue:
         assert result.rescue_choices
         assert result.final_choice == result.rescue_choices[-1]
         assert result.guard is not None and result.guard.n_breaches >= 1
-        assert result.monitor is not None
-        assert result.monitor.rescued_count() == 1
         assert "rescue" in result.describe()
 
     def test_rescue_replay_is_deterministic(self, blocks, nominal_seconds):

@@ -27,11 +27,7 @@ class TestStructure:
             assert row["certified_mean_cost_usd"] > 0.0
             assert row["point_mean_cost_usd"] > 0.0
             assert sum(row["committed_rungs"].values()) == 3
-            assert set(row["committed_rungs"]) <= {
-                "spot",
-                "mixed",
-                "on_demand",
-            }
+            assert set(row["committed_rungs"]) <= {"spot", "on_demand"}
 
     def test_timings_carry_the_trajectory_kernels(self, smoke_report):
         kernels = {t.kernel for t in smoke_report.timings}

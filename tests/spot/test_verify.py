@@ -74,7 +74,7 @@ class TestEscalation:
         strict = SpotPlanVerifier(m, target_probability=0.999).verify(
             choice, blocks, 1.25 * expected
         )
-        rungs = ["spot", "mixed", "on_demand"]
+        rungs = ["spot", "on_demand"]
         assert rungs.index(strict.certificate.escalation) >= rungs.index(
             lax.certificate.escalation
         )
@@ -91,7 +91,7 @@ class TestEscalation:
             assert plan.escalated
         # Whatever rung won, the full audit trail is present in order.
         names = [name for name, _ in plan.certificate.ladder]
-        assert names == ["spot", "mixed", "on_demand"][: len(names)]
+        assert names == ["spot", "on_demand"][: len(names)]
 
     def test_non_spot_plan_skips_the_ladder(self, blocks):
         m = manager(hazard=2.0)
