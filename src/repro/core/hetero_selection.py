@@ -124,7 +124,7 @@ class HeterogeneousSelector:
         features = np.vstack(
             [encode_mixed_features(params, spec) for spec in specs]
         )
-        seconds = self.predictor.predict_ensemble_matrix(features)
+        seconds = self.predictor.evaluate(features).mean
         choices: list[MixedDeployChoice] = []
         for spec, predicted in zip(specs, seconds):
             cost = spec.hourly_price() * float(predicted) / 3600.0

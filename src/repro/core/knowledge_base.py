@@ -264,11 +264,11 @@ class KnowledgeBase:
         """
         reclaims = 0
         exposure = 0.0
-        for record in self.records():
-            if record.market != "spot":
-                continue
-            reclaims += record.n_reclaims
-            exposure += record.execution_seconds * record.n_nodes
+        # Summed over the raw spot rows in record order, so the verifier
+        # can call this per campaign without building a RunRecord per row.
+        for row in self.database.query(_TABLE, market="spot"):
+            reclaims += int(row.get("n_reclaims", 0))
+            exposure += row["execution_seconds"] * row["n_nodes"]
         return reclaims, exposure
 
     def per_instance_counts(self) -> dict[str, int]:

@@ -141,16 +141,18 @@ class ReportingSeasonPlanner:
     def _accelerate(self, plan: CampaignPlan) -> None:
         """Spend leftover budget on the best time-per-dollar upgrades."""
         remaining = plan.budget_usd - plan.total_cost
-        # Candidate upgrades per run: every feasible configuration that
-        # is faster than the current choice.
+        # Each run's configurations are evaluated once; every greedy
+        # step rescans them against the run's current choice.
+        options = [
+            self.selector.evaluate_all(run.params, plan.tmax_seconds)
+            for run in plan.runs
+        ]
         while True:
             best_ratio = 0.0
             best: tuple[PlannedRun, DeployChoice] | None = None
-            for run in plan.runs:
+            for run, candidates in zip(plan.runs, options):
                 current = run.choice
-                for candidate in self.selector.evaluate_all(
-                    run.params, plan.tmax_seconds
-                ):
+                for candidate in candidates:
                     if not candidate.feasible and current.feasible:
                         continue
                     extra = candidate.predicted_cost_usd - current.predicted_cost_usd

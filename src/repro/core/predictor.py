@@ -10,6 +10,8 @@ expected only at the beginning of the system's lifetime" (Section III).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.cloud.instance_types import InstanceType
@@ -18,7 +20,18 @@ from repro.disar.eeb import CharacteristicParameters
 from repro.ml import default_model_family
 from repro.ml.base import FloatArray, Regressor
 
-__all__ = ["PredictorFamily"]
+__all__ = ["EnsembleEvaluation", "PredictorFamily"]
+
+
+class EnsembleEvaluation(NamedTuple):
+    """The family's verdict on a batch of feature rows."""
+
+    #: ``p_x`` per member ``x``, one entry per row.
+    per_model: dict[str, FloatArray]
+    #: Ensemble average per row: the time estimate of Algorithm 1.
+    mean: FloatArray
+    #: Disagreement (standard deviation) across the members per row.
+    std: FloatArray
 
 
 class PredictorFamily:
@@ -61,6 +74,7 @@ class PredictorFamily:
         self._models = dict(models)
         self._fitted = False
         self._train_size = 0
+        self._fit_count = 0
         self.degraded_weight = float(degraded_weight)
 
     @property
@@ -75,6 +89,12 @@ class PredictorFamily:
     def training_size(self) -> int:
         """Number of knowledge-base samples at the last (re)training."""
         return self._train_size
+
+    @property
+    def fit_count(self) -> int:
+        """Number of (re)trainings so far; predictions cached under one
+        count are stale under any other."""
+        return self._fit_count
 
     # -- training ---------------------------------------------------------------
 
@@ -130,6 +150,7 @@ class PredictorFamily:
         self._models = fresh
         self._fitted = True
         self._train_size = len(targets)
+        self._fit_count += 1
         return self
 
     # -- prediction ---------------------------------------------------------------
@@ -138,23 +159,30 @@ class PredictorFamily:
         if not self._fitted:
             raise RuntimeError("predictor family must be fitted first")
 
+    def evaluate(self, features: FloatArray) -> EnsembleEvaluation:
+        """Per-member, mean and std predictions for every feature row,
+        one :meth:`predict_matrix` call for the whole batch.
+
+        The members' predictions are stacked one column per member, so
+        each row's mean and std reduce exactly as they would on that
+        row's predictions alone.
+        """
+        per_model = self.predict_matrix(features)
+        values = np.column_stack(list(per_model.values()))
+        return EnsembleEvaluation(
+            per_model, values.mean(axis=1), values.std(axis=1)
+        )
+
     def predict_per_model(
         self,
         params: CharacteristicParameters,
         instance_type: InstanceType,
         n_nodes: int,
     ) -> dict[str, float]:
-        """``p_x(m, n, f)`` for every member ``x``.
-
-        Predictions are floored at a small positive value: execution
-        times are positive by construction.
-        """
-        self._require_fitted()
-        features = encode_features(params, instance_type, n_nodes)[np.newaxis, :]
-        return {
-            name: max(float(model.predict(features)[0]), 1.0)
-            for name, model in self._models.items()
-        }
+        """``p_x(m, n, f)`` for every member ``x``."""
+        features = encode_features(params, instance_type, n_nodes)
+        per_model = self.evaluate(features[np.newaxis, :]).per_model
+        return {name: float(values[0]) for name, values in per_model.items()}
 
     def predict(
         self,
@@ -163,22 +191,21 @@ class PredictorFamily:
         n_nodes: int,
     ) -> float:
         """The ensemble-average time estimate used by Algorithm 1."""
-        per_model = self.predict_per_model(params, instance_type, n_nodes)
-        return float(np.mean(list(per_model.values())))
+        features = encode_features(params, instance_type, n_nodes)
+        return float(self.evaluate(features[np.newaxis, :]).mean[0])
 
     def predict_matrix(self, features: FloatArray) -> dict[str, FloatArray]:
-        """Batch per-model predictions on raw feature rows."""
+        """Batch per-model predictions on raw feature rows.
+
+        Predictions are floored at a small positive value: execution
+        times are positive by construction.
+        """
         self._require_fitted()
         features = np.asarray(features, dtype=float)
         return {
             name: np.clip(model.predict(features), 1.0, None)
             for name, model in self._models.items()
         }
-
-    def predict_ensemble_matrix(self, features: FloatArray) -> FloatArray:
-        """Batch ensemble-average predictions on raw feature rows."""
-        per_model = self.predict_matrix(features)
-        return np.mean(np.vstack(list(per_model.values())), axis=0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = f"fitted on {self._train_size}" if self._fitted else "unfitted"

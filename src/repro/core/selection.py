@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cloud.instance_types import INSTANCE_CATALOG, InstanceType
-from repro.core.predictor import PredictorFamily
+from repro.core.knowledge_base import encode_features
+from repro.core.predictor import EnsembleEvaluation, PredictorFamily
 from repro.disar.eeb import CharacteristicParameters
 from repro.stochastic.rng import generator_from
 
@@ -145,8 +146,51 @@ class ConfigurationSelector:
         self.boot_overhead_seconds = float(boot_overhead_seconds)
         self.exploration_headroom = float(exploration_headroom)
         self._rng = generator_from(seed)
+        #: The last campaign table, as ``(params, predictor, fit count,
+        #: table)``.
+        self._table: (
+            tuple[CharacteristicParameters, PredictorFamily, int, EnsembleEvaluation]
+            | None
+        ) = None
 
     # -- enumeration -------------------------------------------------------------
+
+    def configurations(self) -> list[tuple[InstanceType, int]]:
+        """Every ``(m, n)`` in ``M x N``, in Algorithm 1's order."""
+        return [
+            (instance_type, n_nodes)
+            for n_nodes in range(1, self.max_nodes + 1)
+            for instance_type in self.catalog.values()
+        ]
+
+    def _campaign_table(
+        self, params: CharacteristicParameters
+    ) -> EnsembleEvaluation:
+        """The ensemble's verdict on every configuration for ``params``.
+
+        One campaign asks for it several times (the selection, the
+        runner's fallback ranking and its rescue re-plan), so the last
+        table is kept.  It is reused only for the same parameters on the
+        same predictor at the same fit count: a refit always rescores.
+        """
+        predictor = self.predictor
+        cached = self._table
+        if (
+            cached is not None
+            and cached[0] == params
+            and cached[1] is predictor
+            and cached[2] == predictor.fit_count
+        ):
+            return cached[3]
+        features = np.vstack(
+            [
+                encode_features(params, instance_type, n_nodes)
+                for instance_type, n_nodes in self.configurations()
+            ]
+        )
+        table = predictor.evaluate(features)
+        self._table = (params, predictor, predictor.fit_count, table)
+        return table
 
     def evaluate_all(
         self, params: CharacteristicParameters, tmax_seconds: float
@@ -154,35 +198,27 @@ class ConfigurationSelector:
         """Predict time and cost for every ``(m, n)`` configuration."""
         if tmax_seconds <= 0:
             raise ValueError(f"tmax_seconds must be positive, got {tmax_seconds}")
+        table = self._campaign_table(params)
+        boot = self.boot_overhead_seconds
         choices: list[DeployChoice] = []
-        for n_nodes in range(1, self.max_nodes + 1):
-            for instance_type in self.catalog.values():
-                per_model = self.predictor.predict_per_model(
-                    params, instance_type, n_nodes
+        for (instance_type, n_nodes), seconds, std in zip(
+            self.configurations(), table.mean.tolist(), table.std.tolist()
+        ):
+            cost = (
+                n_nodes * instance_type.hourly_price_usd * (seconds + boot) / 3600.0
+            )
+            choices.append(
+                DeployChoice(
+                    instance_type=instance_type,
+                    n_nodes=n_nodes,
+                    predicted_seconds=seconds,
+                    predicted_cost_usd=cost,
+                    feasible=(
+                        seconds + boot + self.risk_aversion * std <= tmax_seconds
+                    ),
+                    predicted_std_seconds=std,
                 )
-                values = np.array(list(per_model.values()))
-                seconds = float(values.mean())
-                std = float(values.std())
-                boot = self.boot_overhead_seconds
-                cost = (
-                    n_nodes
-                    * instance_type.hourly_price_usd
-                    * (seconds + boot)
-                    / 3600.0
-                )
-                choices.append(
-                    DeployChoice(
-                        instance_type=instance_type,
-                        n_nodes=n_nodes,
-                        predicted_seconds=seconds,
-                        predicted_cost_usd=cost,
-                        feasible=(
-                            seconds + boot + self.risk_aversion * std
-                            <= tmax_seconds
-                        ),
-                        predicted_std_seconds=std,
-                    )
-                )
+            )
         return choices
 
     # -- Algorithm 1 ----------------------------------------------------------------

@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -44,6 +45,7 @@ __all__ = [
     "run_nested_bench",
     "history_entry_from",
     "compare_against",
+    "median_wall",
 ]
 
 #: Backends every bench run compares by default.  All of them use the
@@ -67,6 +69,11 @@ DEFAULT_VALUE_CHUNK = 64
 
 #: Default fractional paths/sec drop tolerated by the regression gate.
 DEFAULT_REGRESSION_TOLERANCE = 0.25
+
+#: Timed runs per kernel for :func:`median_wall`.
+TIMING_REPEATS = 3
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -283,6 +290,21 @@ def compare_against(
             "the baseline shares no (kernel, backend) pair with this run"
         )
     return regressions
+
+
+def median_wall(run: Callable[[], _T]) -> tuple[float, _T]:
+    """``(median wall seconds, result)`` over :data:`TIMING_REPEATS` runs.
+
+    The gate then compares typical runs rather than one noisy sample.
+    Every caller's kernel is deterministic at a fixed seed, so each
+    repetition returns the same result; the last one is kept.
+    """
+    walls = []
+    for _ in range(TIMING_REPEATS):
+        start = time.perf_counter()
+        result = run()
+        walls.append(time.perf_counter() - start)
+    return statistics.median(walls), result
 
 
 def _time_kernel(fn: Callable[[], float]) -> tuple[float, float]:

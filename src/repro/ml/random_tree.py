@@ -13,24 +13,62 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ml.base import Regressor
+from repro.ml.base import FloatArray, Regressor
 
-__all__ = ["RandomTree"]
+__all__ = ["RandomTree", "TreeArrays", "walk_trees"]
 
 
-@dataclass
-class _Node:
-    """A tree node; leaves carry a prediction, internal nodes a split."""
+@dataclass(frozen=True)
+class TreeArrays:
+    """Flat node arrays of one or more fitted trees.
 
-    prediction: float
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
+    Node ``i`` splits on ``feature[i]`` at ``threshold[i]`` and sends a
+    row to ``left[i]`` when ``row[feature[i]] <= threshold[i]``, else to
+    ``right[i]``.  A leaf has ``feature == -1`` and points at itself on
+    both sides, so walking ``depth`` steps from a root parks every row
+    on its leaf; ``value`` holds the leaf predictions.  ``roots`` lists
+    the root of every tree the arrays hold, and ``depth`` is the
+    deepest leaf's depth among them.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    feature: np.ndarray
+    threshold: FloatArray
+    left: np.ndarray
+    right: np.ndarray
+    value: FloatArray
+    roots: np.ndarray
+    depth: int
+
+    @classmethod
+    def concatenate(cls, trees: list["TreeArrays"]) -> "TreeArrays":
+        """One node table holding ``trees`` side by side, in order."""
+        offsets = np.cumsum([0] + [len(t.value) for t in trees[:-1]])
+        return cls(
+            feature=np.concatenate([t.feature for t in trees]),
+            threshold=np.concatenate([t.threshold for t in trees]),
+            left=np.concatenate([t.left + o for t, o in zip(trees, offsets)]),
+            right=np.concatenate([t.right + o for t, o in zip(trees, offsets)]),
+            value=np.concatenate([t.value for t in trees]),
+            roots=np.concatenate([t.roots + o for t, o in zip(trees, offsets)]),
+            depth=max(t.depth for t in trees),
+        )
+
+
+def walk_trees(arrays: TreeArrays, features: FloatArray) -> FloatArray:
+    """Leaf value of every row in every tree, shape ``(n_trees, n_rows)``.
+
+    All trees and rows step together, one level per iteration; a leaf's
+    self-loops keep rows that arrived early in place.  The comparison is
+    the scalar walk's ``row[feature] <= threshold``, so every row lands
+    on the same leaf.
+    """
+    n_rows = len(features)
+    node = np.repeat(arrays.roots, n_rows)
+    rows = np.tile(np.arange(n_rows), len(arrays.roots))
+    for _ in range(arrays.depth):
+        go_left = features[rows, arrays.feature[node]] <= arrays.threshold[node]
+        node = np.where(go_left, arrays.left[node], arrays.right[node])
+    return arrays.value[node].reshape(len(arrays.roots), n_rows)
 
 
 class RandomTree(Regressor):
@@ -73,7 +111,18 @@ class RandomTree(Regressor):
         d = features.shape[1]
         self._k = self.k_features or max(1, int(np.log2(d)) + 1)
         self._k = min(self._k, d)
-        self._root = self._grow(features, targets, depth=0)
+        nodes: list[tuple[int, float, int, int, float]] = []
+        depth = self._grow(features, targets, 0, nodes)
+        feature, threshold, left, right, value = zip(*nodes)
+        self._arrays = TreeArrays(
+            feature=np.array(feature, dtype=np.intp),
+            threshold=np.array(threshold),
+            left=np.array(left, dtype=np.intp),
+            right=np.array(right, dtype=np.intp),
+            value=np.array(value),
+            roots=np.zeros(1, dtype=np.intp),
+            depth=depth,
+        )
         self._fitted = True
         return self
 
@@ -129,59 +178,56 @@ class RandomTree(Regressor):
                 best = (int(feature), float(threshold), score)
         return best
 
-    def _grow(self, features: np.ndarray, targets: np.ndarray, depth: int) -> _Node:
+    def _grow(
+        self,
+        features: np.ndarray,
+        targets: np.ndarray,
+        depth: int,
+        nodes: list[tuple[int, float, int, int, float]],
+    ) -> int:
+        """Grow the subtree for these rows into ``nodes`` (pre-order:
+        a node, then its left subtree, then its right one) and return
+        the depth of its deepest leaf."""
+        index = len(nodes)
         prediction = float(targets.mean())
+        leaf = (-1, 0.0, index, index, prediction)
+        nodes.append(leaf)
         if (
             len(targets) < 2 * self.min_leaf
             or np.ptp(targets) < 1e-12
             or (self.max_depth is not None and depth >= self.max_depth)
         ):
-            return _Node(prediction=prediction)
+            return depth
         split = self._best_split(features, targets)
         if split is None:
-            return _Node(prediction=prediction)
+            return depth
         feature, threshold, _ = split
         mask = features[:, feature] <= threshold
         if not mask.any() or mask.all():
-            return _Node(prediction=prediction)
-        return _Node(
-            prediction=prediction,
-            feature=feature,
-            threshold=threshold,
-            left=self._grow(features[mask], targets[mask], depth + 1),
-            right=self._grow(features[~mask], targets[~mask], depth + 1),
+            return depth
+        left_depth = self._grow(features[mask], targets[mask], depth + 1, nodes)
+        right = len(nodes)
+        right_depth = self._grow(
+            features[~mask], targets[~mask], depth + 1, nodes
         )
+        nodes[index] = (feature, threshold, index + 1, right, prediction)
+        return max(left_depth, right_depth)
+
+    @property
+    def arrays(self) -> TreeArrays:
+        """The fitted tree's flat node arrays."""
+        if not self._fitted:
+            raise RuntimeError("tree must be fitted first")
+        return self._arrays
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = self._validate_predict_args(features)
-        out = np.empty(len(features))
-        for i, row in enumerate(features):
-            node = self._root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.prediction
-        return out
+        return walk_trees(self._arrays, features)[0]
 
     def depth(self) -> int:
         """Depth of the fitted tree (0 for a single leaf)."""
-        if not self._fitted:
-            raise RuntimeError("tree must be fitted first")
-
-        def _depth(node: _Node) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(_depth(node.left), _depth(node.right))
-
-        return _depth(self._root)
+        return self.arrays.depth
 
     def n_leaves(self) -> int:
         """Number of leaves of the fitted tree."""
-        if not self._fitted:
-            raise RuntimeError("tree must be fitted first")
-
-        def _count(node: _Node) -> int:
-            if node.is_leaf:
-                return 1
-            return _count(node.left) + _count(node.right)
-
-        return _count(self._root)
+        return int(np.count_nonzero(self.arrays.feature < 0))

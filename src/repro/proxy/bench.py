@@ -8,17 +8,14 @@ and its relative error versus the exact tier.  The timings reuse the
 smoke job can gate on throughput drops with ``--against`` exactly like
 the backend benchmark does; kernels are named per tier (``scr_exact`` /
 ``scr_proxy``) and the ``speedup`` column is quoted against the exact
-tier.  Each tier is timed as the median of :data:`TIMING_REPEATS` runs,
-so the gate compares typical runs rather than one noisy sample.
+tier.  Each tier is timed as the median of repeated runs
+(:func:`~repro.exec.bench.median_wall`), so the gate compares typical
+runs rather than one noisy sample.
 """
 
 from __future__ import annotations
 
-import statistics
-import time
-from typing import Callable, TypeVar
-
-from repro.exec.bench import BenchReport, KernelTiming
+from repro.exec.bench import BenchReport, KernelTiming, median_wall
 from repro.financial.contracts import ContractKind, PolicyContract
 from repro.financial.segregated_fund import SegregatedFund
 from repro.montecarlo.nested import NestedMonteCarloEngine
@@ -28,26 +25,6 @@ from repro.proxy.lsmc_proxy import LSMCProxyValuator
 from repro.stochastic.scenario import RiskDriverSpec
 
 __all__ = ["reference_portfolio", "run_proxy_bench"]
-
-#: Timed runs per tier; the report keeps the median wall time.
-TIMING_REPEATS = 3
-
-_T = TypeVar("_T")
-
-
-def _median_wall(run: Callable[[], _T]) -> tuple[float, _T]:
-    """``(median wall seconds, result)`` over :data:`TIMING_REPEATS` runs.
-
-    Every tier is deterministic at a fixed seed, so each repetition
-    returns the same result; the last one is kept.
-    """
-    walls = []
-    for _ in range(TIMING_REPEATS):
-        start = time.perf_counter()
-        result = run()
-        walls.append(time.perf_counter() - start)
-    return statistics.median(walls), result
-
 
 def reference_portfolio() -> tuple[
     RiskDriverSpec, SegregatedFund, list[PolicyContract]
@@ -94,7 +71,7 @@ def run_proxy_bench(
     engine = NestedMonteCarloEngine(spec, fund, contracts, backend=backend)
     calculator = SCRCalculator()
 
-    wall_exact, nested = _median_wall(
+    wall_exact, nested = median_wall(
         lambda: engine.run(
             n_outer, n_inner, rng=seed, steps_per_year=steps_per_year
         )
@@ -109,7 +86,7 @@ def run_proxy_bench(
         tolerance=tolerance,
         proxy_seed=seed,
     )
-    wall_proxy, proxy = _median_wall(
+    wall_proxy, proxy = median_wall(
         lambda: proxy_engine.run(
             n_outer, n_inner, rng=seed, steps_per_year=steps_per_year
         )

@@ -45,6 +45,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.cloud.instance_types import InstanceType
 from repro.cloud.performance import PerformanceModel
 from repro.cloud.spot import SpotMarketModel
@@ -194,107 +196,101 @@ class DeadlineMdp:
         pmf[0] = 0.0
         return pmf
 
-    def _interp(
-        self, row: list[list[float]], remaining: float, fleet: int
-    ) -> float:
-        """Next-step value at a fractional remaining-work position,
-        linearly interpolated between the bucket gridpoints."""
-        if remaining <= 0.0:
-            return 1.0
-        if remaining >= self.n_work_buckets:
-            return row[self.n_work_buckets][fleet]
-        lower = int(remaining)
-        frac = remaining - lower
-        if frac == 0.0:
-            return row[lower][fleet]
-        return (1.0 - frac) * row[lower][fleet] + frac * row[lower + 1][fleet]
-
     # -- value iteration -------------------------------------------------------
 
     def solve(self) -> MdpSolution:
-        """Backward induction over the full state space."""
+        """Backward induction over the full state space.
+
+        Each time step is one array sweep over every (work bucket,
+        fleet) state, for the optimal and the continue-only policy side
+        by side.  The interpolated next values ``I[j, w]`` depend only
+        on the fleet ``j`` the step ends on and the bucket ``w`` it
+        starts from, so each step computes them once.  A spot fleet of
+        ``k`` nodes continues onto ``j <= k`` survivors; its expected
+        value adds the survivor terms in ``j`` order, and the ``j > k``
+        terms carry probability zero and add exactly ``+0.0``.  Ties
+        keep ``continue`` over ``rescue_spot`` over ``rescue_ondemand``.
+        """
         n_steps = self.n_time_steps
         n_work = self.n_work_buckets
         # Fleet states: index 0 = on-demand (full size), index k = spot
         # fleet with k alive nodes.  On-demand-only plans still carry
         # the full indexing — the spot rows are simply unreachable.
         n_fleets = self.n_nodes + 1
-        progress = [self._progress_buckets(max(1, k)) for k in range(n_fleets)]
+        progress = np.array(
+            [self._progress_buckets(max(1, k)) for k in range(n_fleets)]
+        )
         progress[_ON_DEMAND] = self._progress_buckets(self.n_nodes)
         survival = (
             [self._step_survival(step) for step in range(n_steps)]
             if self.spot
             else []
         )
-        pmf_cache: dict[tuple[int, int], list[float]] = {}
+        # A step from work bucket w = 1..n_work on fleet f leaves
+        # remaining[f, w - 1] buckets.  That lands between gridpoints
+        # lower and lower + 1 with weights 1 - frac and frac; no work
+        # left is worth 1, and more than the grid holds is clamped to
+        # its top.  An exact gridpoint gets 1 * lower + 0 * upper, which
+        # is lower exactly because every value is a finite probability.
+        remaining = (
+            np.arange(1, n_work + 1, dtype=float)[np.newaxis, :]
+            - progress[:, np.newaxis]
+        )
+        lower = np.clip(np.floor(remaining), 0, n_work - 1).astype(np.intp)
+        frac = (remaining - lower)[..., np.newaxis]
+        fleet = np.arange(n_fleets)[:, np.newaxis]
+        done = (remaining <= 0.0)[..., np.newaxis]
+        beyond = (remaining >= n_work)[..., np.newaxis]
 
-        def survivors(step: int, k: int) -> list[float]:
-            key = (step, k)
-            if key not in pmf_cache:
-                pmf_cache[key] = self._survivor_pmf(k, survival[step])
-            return pmf_cache[key]
-
-        def terminal(bucket: int) -> float:
-            return 1.0 if bucket == 0 else 0.0
-
-        # value[w][f] at the *next* time step; swept backward.
-        value = [
-            [terminal(w)] * n_fleets for w in range(n_work + 1)
-        ]
-        value_nr = [row[:] for row in value]  # continue-only policy
-        first_action = "continue"
+        # value[w, f, policy] at the *next* time step, swept backward;
+        # policy 0 is the optimal one, policy 1 continue-only.  Work
+        # bucket 0 is the met deadline.
+        value = np.zeros((n_work + 1, n_fleets, 2))
+        value[0] = 1.0
+        first_action = 0
         for step in reversed(range(n_steps)):
-            nxt, nxt_nr = value, value_nr
-            value = [[0.0] * n_fleets for _ in range(n_work + 1)]
-            value_nr = [[0.0] * n_fleets for _ in range(n_work + 1)]
-            for w in range(n_work + 1):
-                if w == 0:
-                    for f in range(n_fleets):
-                        value[w][f] = 1.0
-                        value_nr[w][f] = 1.0
-                    continue
-                # On-demand: deterministic progress, no reclaims.
-                r_od = w - progress[_ON_DEMAND]
-                value[w][_ON_DEMAND] = self._interp(nxt, r_od, _ON_DEMAND)
-                value_nr[w][_ON_DEMAND] = self._interp(
-                    nxt_nr, r_od, _ON_DEMAND
-                )
-                # Spot fleets with k alive nodes.
-                for k in range(1, n_fleets):
-                    if not self.spot:
-                        continue
-                    pmf = survivors(step, k)
-                    cont = 0.0
-                    cont_nr = 0.0
-                    for j in range(1, k + 1):
-                        r_j = w - progress[j]
-                        cont += pmf[j] * self._interp(nxt, r_j, j)
-                        cont_nr += pmf[j] * self._interp(nxt_nr, r_j, j)
-                    best = cont
-                    best_action = "continue"
-                    # A rescue loses one step, then runs on a fresh full
-                    # spot fleet or on on-demand capacity.
-                    rescue = nxt[w][self.n_nodes]
-                    if rescue > best:
-                        best, best_action = rescue, "rescue_spot"
-                    rescue = nxt[w][_ON_DEMAND]
-                    if rescue > best:
-                        best, best_action = rescue, "rescue_ondemand"
-                    value[w][k] = best
-                    value_nr[w][k] = cont_nr
-                    if (
-                        step == 0
-                        and w == n_work
-                        and k == self.n_nodes
-                    ):
-                        first_action = best_action
+            nxt = value
+            # interp[j, w - 1, policy]: the value after a step that
+            # starts at bucket w and ends on fleet j.
+            between = (1.0 - frac) * nxt[lower, fleet] + frac * nxt[
+                lower + 1, fleet
+            ]
+            top = nxt[n_work][:, np.newaxis, :]
+            interp = np.where(done, 1.0, np.where(beyond, top, between))
+            value = np.zeros_like(nxt)
+            value[0] = 1.0
+            # On-demand: deterministic progress, no reclaims.
+            value[1:, _ON_DEMAND] = interp[_ON_DEMAND]
+            if not self.spot:
+                continue
+            # pmf[j, k - 1] = P(j survivors | k alive), spot fleets k >= 1.
+            pmf = np.zeros((n_fleets, n_fleets - 1, 1))
+            for k in range(1, n_fleets):
+                pmf[: k + 1, k - 1, 0] = self._survivor_pmf(k, survival[step])
+            cont = np.zeros((n_work, n_fleets - 1, 2))
+            for j in range(1, n_fleets):
+                cont = cont + pmf[j] * interp[j][:, np.newaxis, :]
+            # A rescue loses one step, then runs on a fresh full spot
+            # fleet or on on-demand capacity.
+            best = cont[..., 0]
+            action = np.zeros(best.shape, dtype=np.intp)
+            for code, target in ((1, self.n_nodes), (2, _ON_DEMAND)):
+                rescue = nxt[1:, target, 0][:, np.newaxis]
+                better = rescue > best
+                best = np.where(better, rescue, best)
+                action = np.where(better, code, action)
+            value[1:, 1:, 0] = best
+            value[1:, 1:, 1] = cont[..., 1]
+            if step == 0:
+                first_action = int(action[n_work - 1, self.n_nodes - 1])
         f0 = self.n_nodes if self.spot else _ON_DEMAND
         return MdpSolution(
-            p_deadline=value[n_work][f0],
-            p_no_rescue=value_nr[n_work][f0],
-            initial_action=first_action if self.spot else "continue",
+            p_deadline=float(value[n_work, f0, 0]),
+            p_no_rescue=float(value[n_work, f0, 1]),
+            initial_action=ACTIONS[first_action] if self.spot else "continue",
             n_time_steps=n_steps,
             n_work_buckets=n_work,
             n_states=(n_steps + 1) * (n_work + 1) * n_fleets,
             step_seconds=self.step_seconds,
         )
+

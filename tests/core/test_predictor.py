@@ -74,9 +74,9 @@ class TestPrediction:
     def test_matrix_api_consistent(self, fitted_family, sample_params):
         it = get_instance_type("c3.8")
         features = encode_features(sample_params, it, 2)[np.newaxis, :]
-        matrix = fitted_family.predict_ensemble_matrix(features)
+        matrix = fitted_family.evaluate(features).mean
         scalar = fitted_family.predict(sample_params, it, 2)
-        assert matrix[0] == pytest.approx(scalar)
+        assert matrix[0] == scalar
 
     def test_training_size_tracked(self, fitted_family, populated_kb):
         assert fitted_family.training_size == len(populated_kb)
